@@ -1,0 +1,419 @@
+#include "gossip/gossip_state.h"
+
+#include <algorithm>
+#include <cassert>
+#include <cmath>
+#include <limits>
+
+namespace dgt {
+
+namespace {
+
+// One contribution's read position in the sparse fold's k-way merge.
+struct MergeCursor {
+  const SparseVectorRow* src;
+  size_t pos;
+  double scale;
+  bool is_self;
+};
+
+constexpr uint32_t kNoColumn = std::numeric_limits<uint32_t>::max();
+
+Status CheckWeights(const std::vector<double>& g) {
+  for (double w : g) {
+    if (w < 0.0) return Status::InvalidArgument("gossip weights must be >= 0");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+std::vector<double> ColumnRatios(const std::vector<double>& num,
+                                 const std::vector<double>& g,
+                                 double sentinel) {
+  std::vector<double> r(num.size());
+  for (size_t j = 0; j < num.size(); ++j) {
+    r[j] = g[j] != 0.0 ? num[j] / g[j] : sentinel;
+  }
+  return r;
+}
+
+// --- Scalar ------------------------------------------------------------
+
+Status ScalarGossipPolicy::Validate(const Value& v, uint32_t /*n*/,
+                                    bool /*use_count*/) {
+  if (v.g < 0.0) return Status::InvalidArgument("gossip weights must be >= 0");
+  return Status::OK();
+}
+
+double ScalarGossipPolicy::Distance(const Snapshot& a, const Snapshot& b) {
+  return std::fabs(a - b);
+}
+
+FoldOutcome ScalarGossipPolicy::SyncFold::Fold(NodeId i, const StepPlan& plan,
+                                               const std::vector<Value>& state,
+                                               Value& next) const {
+  double acc_y = 0.0, acc_g = 0.0, acc_c = 0.0;
+  for (const PlanEntry& e : plan.inbox[i]) {
+    const double denom = static_cast<double>(plan.k_used[e.sender]) + 1.0;
+    const Value& from = state[e.sender];
+    const double sy = from.y / denom;
+    const double sg = from.g / denom;
+    const double sc = use_count_ ? from.c / denom : 0.0;
+    double ty = sy, tg = sg, tc = sc;
+    for (uint32_t s = 1; s < e.shares; ++s) {
+      ty += sy;
+      tg += sg;
+      tc += sc;
+    }
+    acc_y += ty;
+    acc_g += tg;
+    acc_c += tc;
+  }
+  const Value& old = state[i];
+  FoldOutcome out;
+  out.has_weight = acc_g != 0.0;
+  double r = acc_g != 0.0 ? acc_y / acc_g : sentinel_;
+  out.change = std::fabs(r - TakeSnapshot(old, sentinel_));
+  if (use_count_) {
+    double rc = acc_g != 0.0 ? acc_c / acc_g : sentinel_;
+    double prev_c = old.g != 0.0 ? old.c / old.g : sentinel_;
+    out.change += std::fabs(rc - prev_c);
+  }
+  next = {acc_y, acc_g, acc_c};
+  return out;
+}
+
+// --- Dense vector ------------------------------------------------------
+
+Status DenseVectorGossipPolicy::Validate(const Value& v, uint32_t n,
+                                         bool use_count) {
+  if (v.y.size() != n || v.g.size() != n ||
+      v.c.size() != (use_count ? n : 0)) {
+    return Status::InvalidArgument(
+        "dense rows must have num_nodes columns (count channel iff used)");
+  }
+  return CheckWeights(v.g);
+}
+
+FoldOutcome DenseVectorGossipPolicy::SyncFold::Fold(
+    NodeId i, const StepPlan& plan, const std::vector<Value>& state,
+    Value& next) const {
+  const size_t n = state[i].y.size();
+  next.y.assign(n, 0.0);
+  next.g.assign(n, 0.0);
+  if (use_count_) next.c.assign(n, 0.0);
+  for (const PlanEntry& e : plan.inbox[i]) {
+    const double inv = 1.0 / (static_cast<double>(plan.k_used[e.sender]) + 1.0);
+    const double scale = static_cast<double>(e.shares) * inv;
+    const Value& from = state[e.sender];
+    for (size_t j = 0; j < n; ++j) {
+      next.y[j] += from.y[j] * scale;
+      next.g[j] += from.g[j] * scale;
+    }
+    if (use_count_) {
+      for (size_t j = 0; j < n; ++j) next.c[j] += from.c[j] * scale;
+    }
+  }
+
+  const Value& old = state[i];
+  FoldOutcome out;
+  for (size_t j = 0; j < n; ++j) {
+    if (next.g[j] != 0.0) out.has_weight = true;
+    double r = next.g[j] != 0.0 ? next.y[j] / next.g[j] : sentinel_;
+    double prev = old.g[j] != 0.0 ? old.y[j] / old.g[j] : sentinel_;
+    out.change += std::fabs(r - prev);
+    if (use_count_) {
+      double rc = next.g[j] != 0.0 ? next.c[j] / next.g[j] : sentinel_;
+      double prev_c = old.g[j] != 0.0 ? old.c[j] / old.g[j] : sentinel_;
+      out.change += std::fabs(rc - prev_c);
+    }
+  }
+  return out;
+}
+
+DenseVectorGossipPolicy::Share DenseVectorGossipPolicy::Split(Value& v,
+                                                              uint32_t k) {
+  const double inv = 1.0 / (static_cast<double>(k) + 1.0);
+  auto snap = std::make_shared<DenseGossipData>(std::move(v));
+  v.y.resize(snap->y.size());
+  v.g.resize(snap->g.size());
+  v.c.resize(snap->c.size());
+  for (size_t j = 0; j < snap->y.size(); ++j) v.y[j] = snap->y[j] * inv;
+  for (size_t j = 0; j < snap->g.size(); ++j) v.g[j] = snap->g[j] * inv;
+  for (size_t j = 0; j < snap->c.size(); ++j) v.c[j] = snap->c[j] * inv;
+  return Share{std::move(snap), inv};
+}
+
+void DenseVectorGossipPolicy::Absorb(Value& v, const Share& s) {
+  const DenseGossipData& d = *s.data;
+  for (size_t j = 0; j < d.y.size(); ++j) v.y[j] += d.y[j] * s.scale;
+  for (size_t j = 0; j < d.g.size(); ++j) v.g[j] += d.g[j] * s.scale;
+  for (size_t j = 0; j < d.c.size(); ++j) v.c[j] += d.c[j] * s.scale;
+}
+
+bool DenseVectorGossipPolicy::HasWeight(const Value& v) {
+  return std::any_of(v.g.begin(), v.g.end(), [](double g) { return g != 0.0; });
+}
+
+DenseVectorGossipPolicy::Snapshot DenseVectorGossipPolicy::TakeSnapshot(
+    const Value& v, double sentinel) {
+  Snapshot snap;
+  snap.r = ColumnRatios(v.y, v.g, sentinel);
+  if (!v.c.empty()) snap.rc = ColumnRatios(v.c, v.g, sentinel);
+  return snap;
+}
+
+double DenseVectorGossipPolicy::Distance(const Snapshot& a,
+                                         const Snapshot& b) {
+  assert(a.r.size() == b.r.size());
+  double l1 = 0.0;
+  for (size_t j = 0; j < a.r.size(); ++j) l1 += std::fabs(b.r[j] - a.r[j]);
+  for (size_t j = 0; j < a.rc.size() && j < b.rc.size(); ++j) {
+    l1 += std::fabs(b.rc[j] - a.rc[j]);
+  }
+  return l1;
+}
+
+// --- CSR sparse row ----------------------------------------------------
+
+Status SparseVectorGossipPolicy::Validate(const Value& v, uint32_t n,
+                                          bool use_count) {
+  if (v.y.size() != v.cols.size() || v.g.size() != v.cols.size() ||
+      v.c.size() != (use_count ? v.cols.size() : 0)) {
+    return Status::InvalidArgument(
+        "value arrays must parallel cols (count channel iff used)");
+  }
+  for (size_t k = 0; k < v.cols.size(); ++k) {
+    if (v.cols[k] >= n) return Status::InvalidArgument("column out of range");
+    if (k > 0 && v.cols[k] <= v.cols[k - 1]) {
+      return Status::InvalidArgument("columns must be strictly increasing");
+    }
+  }
+  return CheckWeights(v.g);
+}
+
+namespace {
+
+// v + scale * row as a 2-way sorted-column merge (entries that cancel to
+// exact zero on every channel are dropped, keeping rows minimal).
+SparseVectorRow MergeScaled(const SparseVectorRow& v,
+                            const SparseVectorRow& row, double scale) {
+  const bool use_count = !v.c.empty() || !row.c.empty();
+  SparseVectorRow out;
+  out.cols.reserve(v.cols.size() + row.cols.size());
+  out.y.reserve(v.cols.size() + row.cols.size());
+  out.g.reserve(v.cols.size() + row.cols.size());
+  if (use_count) out.c.reserve(v.cols.size() + row.cols.size());
+  size_t ia = 0, ib = 0;
+  while (ia < v.cols.size() || ib < row.cols.size()) {
+    uint32_t ca = ia < v.cols.size() ? v.cols[ia] : UINT32_MAX;
+    uint32_t cb = ib < row.cols.size() ? row.cols[ib] : UINT32_MAX;
+    uint32_t j = ca < cb ? ca : cb;
+    double ay = 0.0, ag = 0.0, ac = 0.0;
+    if (ca == j) {
+      ay += v.y[ia];
+      ag += v.g[ia];
+      if (!v.c.empty()) ac += v.c[ia];
+      ++ia;
+    }
+    if (cb == j) {
+      ay += row.y[ib] * scale;
+      ag += row.g[ib] * scale;
+      if (!row.c.empty()) ac += row.c[ib] * scale;
+      ++ib;
+    }
+    if (ay != 0.0 || ag != 0.0 || ac != 0.0) {
+      out.cols.push_back(j);
+      out.y.push_back(ay);
+      out.g.push_back(ag);
+      if (use_count) out.c.push_back(ac);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+SparseVectorGossipPolicy::Share SparseVectorGossipPolicy::Split(Value& v,
+                                                                uint32_t k) {
+  const double inv = 1.0 / (static_cast<double>(k) + 1.0);
+  auto snap = std::make_shared<const SparseVectorRow>(std::move(v));
+  // The kept share: the same immutable snapshot scaled down, materialised
+  // as the node's new resident row.
+  v = MergeScaled(SparseVectorRow(), *snap, inv);
+  return Share{std::move(snap), inv};
+}
+
+void SparseVectorGossipPolicy::Absorb(Value& v, const Share& s) {
+  v = MergeScaled(v, *s.row, s.scale);
+}
+
+bool SparseVectorGossipPolicy::HasWeight(const Value& v) {
+  return std::any_of(v.g.begin(), v.g.end(), [](double g) { return g != 0.0; });
+}
+
+SparseVectorGossipPolicy::Snapshot SparseVectorGossipPolicy::TakeSnapshot(
+    const Value& v, double sentinel) {
+  Snapshot snap;
+  snap.sentinel = sentinel;
+  snap.cols = v.cols;
+  snap.r = ColumnRatios(v.y, v.g, sentinel);
+  if (!v.c.empty()) snap.rc = ColumnRatios(v.c, v.g, sentinel);
+  return snap;
+}
+
+double SparseVectorGossipPolicy::Distance(const Snapshot& a,
+                                          const Snapshot& b) {
+  // Two-pointer union walk; a column present on one side only means the
+  // other side sat at the sentinel when its snapshot was taken (both
+  // snapshots come from the same run, so the sentinels agree).
+  const double sentinel = b.sentinel;
+  const bool use_count = !a.rc.empty() || !b.rc.empty();
+  double l1 = 0.0;
+  size_t ia = 0, ib = 0;
+  while (ia < a.cols.size() || ib < b.cols.size()) {
+    uint32_t ca = ia < a.cols.size() ? a.cols[ia] : UINT32_MAX;
+    uint32_t cb = ib < b.cols.size() ? b.cols[ib] : UINT32_MAX;
+    double ra = sentinel, rb = sentinel;
+    double rca = sentinel, rcb = sentinel;
+    if (ca <= cb) {
+      ra = a.r[ia];
+      if (!a.rc.empty()) rca = a.rc[ia];
+    }
+    if (cb <= ca) {
+      rb = b.r[ib];
+      if (!b.rc.empty()) rcb = b.rc[ib];
+    }
+    l1 += std::fabs(rb - ra);
+    if (use_count) l1 += std::fabs(rcb - rca);
+    if (ca <= cb) ++ia;
+    if (cb <= ca) ++ib;
+  }
+  return l1;
+}
+
+SparseVectorGossipPolicy::SyncFold::SyncFold(const std::vector<Value>& init,
+                                             bool use_count, double sentinel)
+    : SyncFoldBase(init, use_count, sentinel),
+      refs_(init.size()),
+      replay_refs_(init.size(), 0),
+      prev_nnz_(init.size(), 0) {
+  for (const SparseVectorRow& row : init) total_nnz_ += row.nnz();
+  peak_nnz_ = total_nnz_;
+}
+
+void SparseVectorGossipPolicy::SyncFold::BeginStep(
+    const StepPlan& plan, const std::vector<uint8_t>& stopped,
+    const std::vector<Value>& state) {
+  const size_t n = state.size();
+  for (size_t i = 0; i < n; ++i) {
+    prev_nnz_[i] = state[i].nnz();
+    replay_refs_[i] = 0;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (stopped[i]) continue;
+    for (const PlanEntry& e : plan.inbox[i]) ++replay_refs_[e.sender];
+  }
+  for (size_t i = 0; i < n; ++i) {
+    refs_[i].store(replay_refs_[i], std::memory_order_relaxed);
+  }
+}
+
+FoldOutcome SparseVectorGossipPolicy::SyncFold::Fold(NodeId i,
+                                                     const StepPlan& plan,
+                                                     std::vector<Value>& state,
+                                                     Value& next) {
+  assert(!plan.inbox[i].empty());
+  assert(next.nnz() == 0);
+  // Hoisted out of the merge loop: the row writes below could alias the
+  // members as far as the compiler knows.
+  const bool use_count = use_count_;
+  const double sentinel = sentinel_;
+  // Previous-step rows are read-only here and released by whichever
+  // merge consumes the last reference.
+  std::vector<MergeCursor> cursors;
+  cursors.reserve(plan.inbox[i].size());
+  for (const PlanEntry& e : plan.inbox[i]) {
+    const double inv = 1.0 / (static_cast<double>(plan.k_used[e.sender]) + 1.0);
+    cursors.push_back({&state[e.sender], 0, static_cast<double>(e.shares) * inv,
+                       e.sender == i});
+  }
+  SparseVectorRow& merged = next;
+
+  FoldOutcome out;
+  while (true) {
+    uint32_t jmin = kNoColumn;
+    for (const MergeCursor& cur : cursors) {
+      if (cur.pos < cur.src->cols.size()) {
+        jmin = std::min(jmin, cur.src->cols[cur.pos]);
+      }
+    }
+    if (jmin == kNoColumn) break;
+    double ay = 0.0, ag = 0.0, ac = 0.0;
+    double old_y = 0.0, old_g = 0.0, old_c = 0.0;
+    bool in_old = false;
+    for (MergeCursor& cur : cursors) {
+      if (cur.pos < cur.src->cols.size() && cur.src->cols[cur.pos] == jmin) {
+        ay += cur.src->y[cur.pos] * cur.scale;
+        ag += cur.src->g[cur.pos] * cur.scale;
+        if (use_count) ac += cur.src->c[cur.pos] * cur.scale;
+        if (cur.is_self) {
+          in_old = true;
+          old_y = cur.src->y[cur.pos];
+          old_g = cur.src->g[cur.pos];
+          if (use_count) old_c = cur.src->c[cur.pos];
+        }
+        ++cur.pos;
+      }
+    }
+    // eq. (7) terms, in the dense fold's exact order (ratio term, then
+    // count term). The previous-step ratio is recomputed from the kept
+    // share's source row — the node's own old state.
+    double r = ag != 0.0 ? ay / ag : sentinel;
+    double prev = (in_old && old_g != 0.0) ? old_y / old_g : sentinel;
+    out.change += std::fabs(r - prev);
+    if (use_count) {
+      double rc = ag != 0.0 ? ac / ag : sentinel;
+      double prev_c = (in_old && old_g != 0.0) ? old_c / old_g : sentinel;
+      out.change += std::fabs(rc - prev_c);
+    }
+    if (ag != 0.0) out.has_weight = true;
+    if (ay != 0.0 || ag != 0.0 || ac != 0.0) {
+      merged.cols.push_back(jmin);
+      merged.y.push_back(ay);
+      merged.g.push_back(ag);
+      if (use_count) merged.c.push_back(ac);
+    }
+  }
+
+  // Release previous-step rows whose last consumer was this merge
+  // (acq_rel: the release must observe every consumer's reads).
+  for (const PlanEntry& e : plan.inbox[i]) {
+    if (refs_[e.sender].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      state[e.sender] = SparseVectorRow();
+    }
+  }
+  return out;
+}
+
+void SparseVectorGossipPolicy::SyncFold::EndStep(
+    const StepPlan& plan, const std::vector<uint8_t>& stopped,
+    const std::vector<Value>& next) {
+  // Replay the serial engine's receiver-order bookkeeping (merge row i,
+  // then release rows whose last consumer was i), so the reported peak is
+  // identical at every thread count. (A threaded merge's instantaneous
+  // footprint can transiently exceed it by the rows still queued for
+  // release; the releases in Fold keep that slack to the in-flight shard
+  // set.)
+  for (size_t i = 0; i < next.size(); ++i) {
+    if (stopped[i]) continue;
+    total_nnz_ += next[i].nnz();
+    peak_nnz_ = std::max(peak_nnz_, total_nnz_);
+    for (const PlanEntry& e : plan.inbox[i]) {
+      if (--replay_refs_[e.sender] == 0) total_nnz_ -= prev_nnz_[e.sender];
+    }
+  }
+}
+
+}  // namespace dgt

@@ -86,25 +86,18 @@ struct GossipOptions {
   double ratio_sentinel = 10.0;
 };
 
-// Outcome of a scalar push-sum run.
-struct GossipResult {
-  // Final per-node estimate y_i/g_i (sentinel where g_i == 0).
-  std::vector<double> ratios;
-  std::vector<double> values;   // final y_i
-  std::vector<double> weights;  // final g_i
-  std::vector<double> counts;   // final count channel (zero if unused)
-
+// Counters of one synchronous run: the executor's own result, and the
+// base of every front-end result.
+struct GossipRunStats {
   uint32_t steps = 0;
   bool converged = false;
 
   // Gossip pushes actually transmitted to other nodes (lost ones included:
-  // the transmission cost is incurred before the loss is detected).
+  // the transmission cost is incurred before the loss is detected). A
+  // transmitted vector counts as one message (one network send).
   uint64_t gossip_messages = 0;
   // One-time degree announcements plus convergence announcements.
   uint64_t control_messages = 0;
-
-  // trace[m][i] = ratio of node i after step m (only if track_trace).
-  std::vector<std::vector<double>> trace;
 
   // Mean over nodes of (messages the node transmitted, gossip + control) /
   // (steps the node was active before stopping) — the Table 2 metric.
@@ -113,12 +106,29 @@ struct GossipResult {
   // xi shrinks, reproducing the paper's downward trend.
   double mean_messages_per_active_node_step = 0.0;
 
+  // Peak sum of per-row nonzeros across all steps — the sparse vector
+  // policy's working-set size, reported by the large-N benches (0 for the
+  // scalar and dense policies).
+  uint64_t peak_state_nonzeros = 0;
+
   // Aggregate alternative: (gossip + control) / (num_nodes * steps).
   double MessagesPerNodePerStep(uint32_t num_nodes) const {
     if (num_nodes == 0 || steps == 0) return 0.0;
     return static_cast<double>(gossip_messages + control_messages) /
            (static_cast<double>(num_nodes) * static_cast<double>(steps));
   }
+};
+
+// Outcome of a scalar push-sum run.
+struct GossipResult : GossipRunStats {
+  // Final per-node estimate y_i/g_i (sentinel where g_i == 0).
+  std::vector<double> ratios;
+  std::vector<double> values;   // final y_i
+  std::vector<double> weights;  // final g_i
+  std::vector<double> counts;   // final count channel (zero if unused)
+
+  // trace[m][i] = ratio of node i after step m (only if track_trace).
+  std::vector<std::vector<double>> trace;
 };
 
 }  // namespace dgt

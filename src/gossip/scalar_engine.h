@@ -8,10 +8,9 @@
 // sum(y0)/sum(g0); with g0 one-hot this estimates the sum, with g0 = 1 on
 // a subset it estimates the subset average.
 //
-// Termination follows the paper's protocol: a node announces convergence
-// to its neighbours once its ratio moved by <= xi in a step in which it
-// heard from somebody else (|S| > 1); it stops once itself and all its
-// neighbours have announced. The run ends when every node has stopped.
+// The step loop and the paper's announce/stop termination protocol are
+// SyncPushSum<ScalarGossipPolicy> (gossip/sync_push_sum.h); this class
+// converts to and from its state.
 
 #ifndef DGT_GOSSIP_SCALAR_ENGINE_H_
 #define DGT_GOSSIP_SCALAR_ENGINE_H_
@@ -19,8 +18,8 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/rng.h"
 #include "gossip/options.h"
+#include "gossip/sync_push_sum.h"
 #include "graph/graph.h"
 
 namespace dgt {
@@ -29,7 +28,8 @@ class ScalarPushSum {
  public:
   // `graph` must outlive the engine. Disconnected graphs are allowed; each
   // component converges to its own aggregate.
-  ScalarPushSum(const Graph* graph, GossipOptions options);
+  ScalarPushSum(const Graph* graph, GossipOptions options)
+      : engine_(graph, options) {}
 
   // Runs to convergence (or options.max_steps). y0/g0 must have
   // num_nodes entries; c0 may be empty (count channel disabled) or
@@ -40,12 +40,12 @@ class ScalarPushSum {
                            const std::vector<double>& c0 = {});
 
   // Per-node push counts under the configured strategy.
-  const std::vector<uint32_t>& push_counts() const { return push_counts_; }
+  const std::vector<uint32_t>& push_counts() const {
+    return engine_.push_counts();
+  }
 
  private:
-  const Graph* graph_;
-  GossipOptions options_;
-  std::vector<uint32_t> push_counts_;
+  SyncPushSum<ScalarGossipPolicy> engine_;
 };
 
 }  // namespace dgt

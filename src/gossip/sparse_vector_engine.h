@@ -9,21 +9,19 @@
 // peers it transacted with), so early gossip state is sparse too; rows
 // only fill in as mass mixes across the overlay. This engine's per-step
 // cost is proportional to the nonzeros actually pushed, not to N per
-// message, and its memory footprint tracks the live nonzero count.
+// message, and its memory footprint tracks the live nonzero count. Under
+// variant 4 every row does fill in (peak about 1.15 N^2 nonzeros), so the
+// saving is in the mixing phase, not in the asymptote; docs/ARCHITECTURE.md
+// records the scale model.
 //
-// State layout: each node holds one SparseVectorRow — CSR-style parallel
-// arrays (cols sorted ascending; y, g and optionally c aligned with cols).
-// A push enqueues (sender, scale) against each target; the receive side
-// merges all of a step's contributions with a k-way sorted-column walk
-// (merge-on-receive), so incoming shares are combined without ever
-// materialising a dense inbox.
-//
-// Equivalence: for identical options and initial state this engine is
-// bit-for-bit identical to VectorPushSum — same RNG draw sequence, same
-// floating-point accumulation order (contributions combine in sender
-// order per column, and absent columns contribute exact zeros to eq. (7)'s
-// L1 test), same message accounting. The dense engine is kept for
-// small-N cross-validation; see tests/gossip/sparse_vector_engine_test.cc.
+// State layout: each node holds one SparseVectorRow (gossip/gossip_state.h)
+// and the receive side merges a step's contributions with a k-way
+// sorted-column walk, without ever materialising a dense inbox. The
+// protocol is SyncPushSum<SparseVectorGossipPolicy>
+// (gossip/sync_push_sum.h), the same executor the dense VectorPushSum
+// instantiates, and the sparse fold reproduces the dense fold's float
+// order, so for identical options and initial state the two are
+// bit-for-bit identical (tests/gossip/sparse_vector_engine_test.cc).
 
 #ifndef DGT_GOSSIP_SPARSE_VECTOR_ENGINE_H_
 #define DGT_GOSSIP_SPARSE_VECTOR_ENGINE_H_
@@ -31,25 +29,14 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/rng.h"
+#include "gossip/gossip_state.h"
 #include "gossip/options.h"
+#include "gossip/sync_push_sum.h"
 #include "graph/graph.h"
 
 namespace dgt {
 
-// One node's gossip state: sorted sparse (column, y, g[, c]) entries.
-// `cols` is strictly increasing; `y`/`g` (and `c` when the count channel
-// is active) are parallel to it. Absent columns hold exact zeros.
-struct SparseVectorRow {
-  std::vector<uint32_t> cols;
-  std::vector<double> y;
-  std::vector<double> g;
-  std::vector<double> c;  // empty when the count channel is unused
-
-  size_t nnz() const { return cols.size(); }
-};
-
-struct SparseVectorGossipResult {
+struct SparseVectorGossipResult : GossipRunStats {
   // Per node: sorted columns where gossip weight arrived (g != 0), with
   // the final ratio y/g and count ratio c/g. Columns absent from a row
   // are at options.ratio_sentinel (no weight reached the node), exactly
@@ -61,22 +48,6 @@ struct SparseVectorGossipResult {
   };
   std::vector<Row> rows;
 
-  uint32_t steps = 0;
-  bool converged = false;
-  uint64_t gossip_messages = 0;
-  uint64_t control_messages = 0;
-  // See GossipResult::mean_messages_per_active_node_step.
-  double mean_messages_per_active_node_step = 0.0;
-  // Peak sum of per-row nonzeros across all steps — the engine's actual
-  // working-set size (reported by the large-N benches).
-  uint64_t peak_state_nonzeros = 0;
-
-  double MessagesPerNodePerStep(uint32_t num_nodes) const {
-    if (num_nodes == 0 || steps == 0) return 0.0;
-    return static_cast<double>(gossip_messages + control_messages) /
-           (static_cast<double>(num_nodes) * static_cast<double>(steps));
-  }
-
   // Densified estimates (sentinel where no weight arrived) — for small-N
   // cross-validation against VectorPushSum; O(rows * N) memory.
   std::vector<std::vector<double>> DenseEstimates(double sentinel) const;
@@ -85,21 +56,23 @@ struct SparseVectorGossipResult {
 
 class SparseVectorPushSum {
  public:
-  SparseVectorPushSum(const Graph* graph, GossipOptions options);
+  SparseVectorPushSum(const Graph* graph, GossipOptions options)
+      : engine_(graph, options) {}
 
   // `init` holds one row per node (exactly num_nodes rows). Each row's
   // cols must be strictly increasing and in [0, num_nodes); y/g must be
   // parallel to cols, and c must be parallel when `use_count` is true and
-  // empty otherwise. Fails with InvalidArgument on any violation.
+  // empty otherwise, and gossip weights must be >= 0. Fails with
+  // InvalidArgument on any violation or on xi <= 0.
   Result<SparseVectorGossipResult> Run(std::vector<SparseVectorRow> init,
                                        bool use_count);
 
-  const std::vector<uint32_t>& push_counts() const { return push_counts_; }
+  const std::vector<uint32_t>& push_counts() const {
+    return engine_.push_counts();
+  }
 
  private:
-  const Graph* graph_;
-  GossipOptions options_;
-  std::vector<uint32_t> push_counts_;
+  SyncPushSum<SparseVectorGossipPolicy> engine_;
 };
 
 }  // namespace dgt

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "gossip/step_plan.h"
+
 namespace dgt {
 
 Result<SpreadingResult> SpreadRumor(const Graph& graph, NodeId source,
@@ -30,6 +32,7 @@ Result<SpreadingResult> SpreadRumor(const Graph& graph, NodeId source,
                        protocol == SpreadProtocol::kPushPull;
 
   SpreadingResult res;
+  std::vector<NodeId> targets;
   while (count < n && res.rounds < max_rounds) {
     ++res.rounds;
     std::copy(informed.begin(), informed.end(), next.begin());
@@ -39,17 +42,10 @@ Result<SpreadingResult> SpreadRumor(const Graph& graph, NodeId source,
         if (!informed[u]) continue;
         const auto& nbrs = graph.Neighbors(u);
         if (nbrs.empty()) continue;
-        const uint32_t deg = static_cast<uint32_t>(nbrs.size());
-        const uint32_t kk = std::min(k[u], deg);
-        if (kk == 1) {
-          next[nbrs[rng.NextBelow(deg)]] = 1;
-          ++res.messages;
-        } else {
-          for (uint32_t idx : rng.SampleWithoutReplacement(deg, kk)) {
-            next[nbrs[idx]] = 1;
-            ++res.messages;
-          }
-        }
+        DrawTargets(nbrs, std::min(k[u], static_cast<uint32_t>(nbrs.size())),
+                    rng, targets);
+        for (NodeId t : targets) next[t] = 1;
+        res.messages += targets.size();
       }
     }
     if (do_pull) {

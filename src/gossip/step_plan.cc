@@ -5,6 +5,51 @@
 
 namespace dgt {
 
+namespace {
+
+// Draws node i's pushes for one step and emits them as
+// (receiver, PlanEntry) pairs — delivered shares first (in target draw
+// order), then the kept-self entry. The draw order (targets first, then
+// one loss trial per transmitted push, short-circuited to zero draws when
+// loss_prob == 0) is the historical serial engines' exact RNG consumption
+// order. Returns k, the number of pushes transmitted. Precondition: nbrs
+// is non-empty.
+template <typename Emit>
+uint32_t DrawNodePushes(const std::vector<NodeId>& nbrs, uint32_t push_count,
+                        double loss_prob, NodeId i, Rng& rng,
+                        const std::vector<uint8_t>& stopped,
+                        std::vector<NodeId>& targets, Emit&& emit) {
+  const uint32_t k = std::min(push_count, static_cast<uint32_t>(nbrs.size()));
+  DrawTargets(nbrs, k, rng, targets);
+  uint32_t self_shares = 1;
+  for (NodeId t : targets) {
+    // A bounced or lost push returns its share to the sender (mass
+    // conservation; the sender does not bleed mass into a frozen sink).
+    if (stopped[t] || (loss_prob > 0.0 && rng.NextBernoulli(loss_prob))) {
+      ++self_shares;
+      continue;
+    }
+    emit(t, PlanEntry{i, 1});
+  }
+  emit(i, PlanEntry{i, self_shares});
+  return k;
+}
+
+}  // namespace
+
+void DrawTargets(const std::vector<NodeId>& nbrs, uint32_t k, Rng& rng,
+                 std::vector<NodeId>& targets) {
+  const uint32_t deg = static_cast<uint32_t>(nbrs.size());
+  targets.clear();
+  if (k == 1) {
+    targets.push_back(nbrs[rng.NextBelow(deg)]);
+    return;
+  }
+  for (uint32_t idx : rng.SampleWithoutReplacement(deg, k)) {
+    targets.push_back(nbrs[idx]);
+  }
+}
+
 void StepPlan::Reset(uint32_t num_nodes) {
   if (inbox.size() != num_nodes) inbox.resize(num_nodes);
   for (auto& box : inbox) box.clear();
@@ -13,22 +58,28 @@ void StepPlan::Reset(uint32_t num_nodes) {
   pushes = 0;
 }
 
-void BuildStepPlan(const Graph& graph, const GossipOptions& options,
+uint32_t PushCount(const AdjacencyLists& adj, NodeId u,
+                   const GossipOptions& options) {
+  return options.strategy == PushStrategy::kDifferential
+             ? DifferentialPushCount(adj, u, options.k_rounding)
+             : 1;
+}
+
+void BuildStepPlan(const AdjacencyLists& adj, const GossipOptions& options,
                    const std::vector<uint32_t>& push_counts,
                    const std::vector<uint8_t>& stopped, uint32_t step,
                    Rng& shared_rng, const Rng& stream_root, ThreadPool& pool,
                    StepPlan& plan) {
-  const uint32_t n = graph.num_nodes();
+  const uint32_t n = static_cast<uint32_t>(adj.size());
   plan.Reset(n);
-  auto bounces = [&](NodeId t) { return stopped[t] != 0; };
 
   if (options.rng_mode == GossipRngMode::kSequential) {
     std::vector<NodeId> targets;
     for (NodeId i = 0; i < n; ++i) {
       if (stopped[i]) continue;
       plan.k_used[i] = DrawNodePushes(
-          graph.Neighbors(i), push_counts[i], options.packet_loss_prob, i,
-          shared_rng, targets, bounces, [&](NodeId t, PlanEntry e) {
+          adj[i], push_counts[i], options.packet_loss_prob, i, shared_rng,
+          stopped, targets, [&](NodeId t, PlanEntry e) {
             plan.inbox[t].push_back(e);
             if (e.sender != t) ++plan.senders[t];
           });
@@ -52,8 +103,8 @@ void BuildStepPlan(const Graph& graph, const GossipOptions& options,
       const NodeId node = static_cast<NodeId>(i);
       Rng rng = stream_root.StreamAt(node, step);
       plan.k_used[i] = DrawNodePushes(
-          graph.Neighbors(node), push_counts[i], options.packet_loss_prob,
-          node, rng, targets, bounces,
+          adj[node], push_counts[i], options.packet_loss_prob, node, rng,
+          stopped, targets,
           [&](NodeId t, PlanEntry e) { out.emplace_back(t, e); });
     }
   });

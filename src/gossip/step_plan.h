@@ -1,5 +1,5 @@
 // Phase A of the two-phase deterministic gossip step shared by the
-// synchronous engines (scalar, dense vector, sparse vector).
+// synchronous executor (gossip/sync_push_sum.h) and the churn engine.
 //
 // A synchronous push-sum step factors cleanly into
 //   (A) push generation — every active node draws its k_i targets and the
@@ -37,44 +37,12 @@ struct PlanEntry {
   uint32_t shares;
 };
 
-// Draws node i's pushes for one step and emits them as
-// (receiver, PlanEntry) pairs — delivered shares first (in target draw
-// order), then the kept-self entry. The draw order (targets first, then
-// one loss trial per transmitted push, short-circuited to zero draws when
-// loss_prob == 0) is the historical serial engines' exact RNG consumption
-// order; EVERY engine must draw through this helper so the sequence stays
-// uniform across engines (the churn engine supplies its own bounce
-// predicate over its dynamic membership). Returns k, the number of pushes
-// transmitted. Precondition: nbrs is non-empty.
-template <typename BouncePred, typename Emit>
-uint32_t DrawNodePushes(const std::vector<NodeId>& nbrs, uint32_t push_count,
-                        double loss_prob, NodeId i, Rng& rng,
-                        std::vector<NodeId>& targets,
-                        BouncePred&& target_bounces, Emit&& emit) {
-  const uint32_t deg = static_cast<uint32_t>(nbrs.size());
-  const uint32_t k = std::min(push_count, deg);
-  targets.clear();
-  if (k == 1) {
-    targets.push_back(nbrs[rng.NextBelow(deg)]);
-  } else {
-    for (uint32_t idx : rng.SampleWithoutReplacement(deg, k)) {
-      targets.push_back(nbrs[idx]);
-    }
-  }
-  uint32_t self_shares = 1;
-  for (NodeId t : targets) {
-    // A bounced or lost push returns its share to the sender (mass
-    // conservation; the sender does not bleed mass into a frozen sink).
-    if (target_bounces(t) ||
-        (loss_prob > 0.0 && rng.NextBernoulli(loss_prob))) {
-      ++self_shares;
-      continue;
-    }
-    emit(t, PlanEntry{i, 1});
-  }
-  emit(i, PlanEntry{i, self_shares});
-  return k;
-}
+// Draws k distinct push targets (1 <= k <= nbrs.size()) into `targets`:
+// one uniform draw when k == 1, else a sample without replacement. Every
+// gossip engine, synchronous or event-driven, draws its targets here, so
+// they all consume the generator identically.
+void DrawTargets(const std::vector<NodeId>& nbrs, uint32_t k, Rng& rng,
+                 std::vector<NodeId>& targets);
 
 struct StepPlan {
   // inbox[t]: contribution list of receiver t, ascending-sender order.
@@ -92,12 +60,19 @@ struct StepPlan {
   void Reset(uint32_t num_nodes);
 };
 
+// Node u's pushes per step under options.strategy: 1 for plain push, the
+// differential count k_u over `adj` otherwise.
+uint32_t PushCount(const AdjacencyLists& adj, NodeId u,
+                   const GossipOptions& options);
+
 // Draws one step's push targets and loss outcomes for every non-stopped
-// node and bins the deliveries per receiver. kSequential consumes
-// `shared_rng` in node order (the historical serial sequence); kCounter
-// derives a per-(node, step) generator from `stream_root` via StreamAt and
-// shards the generation across `pool`. Both are thread-count invariant.
-void BuildStepPlan(const Graph& graph, const GossipOptions& options,
+// node of `adj` and bins the deliveries per receiver; a push to a stopped
+// node bounces. A node with no neighbours must be marked stopped.
+// kSequential consumes `shared_rng` in node order (the historical serial
+// sequence); kCounter derives a per-(node, step) generator from
+// `stream_root` via StreamAt and shards the generation across `pool`.
+// Both are thread-count invariant.
+void BuildStepPlan(const AdjacencyLists& adj, const GossipOptions& options,
                    const std::vector<uint32_t>& push_counts,
                    const std::vector<uint8_t>& stopped, uint32_t step,
                    Rng& shared_rng, const Rng& stream_root, ThreadPool& pool,

@@ -1,257 +1,39 @@
 #include "gossip/vector_engine.h"
 
-#include <algorithm>
-#include <atomic>
-#include <cassert>
-#include <cmath>
+#include <utility>
 
 #include "common/thread_pool.h"
-#include "gossip/step_plan.h"
 
 namespace dgt {
-
-VectorPushSum::VectorPushSum(const Graph* graph, GossipOptions options)
-    : graph_(graph), options_(options) {
-  assert(graph_ != nullptr);
-  const uint32_t n = graph_->num_nodes();
-  push_counts_.resize(n, 1);
-  if (options_.strategy == PushStrategy::kDifferential) {
-    for (NodeId u = 0; u < n; ++u) {
-      push_counts_[u] = graph_->DifferentialPushCount(u, options_.k_rounding);
-    }
-  }
-}
 
 Result<VectorGossipResult> VectorPushSum::Run(
     const std::vector<std::vector<double>>& y0,
     const std::vector<std::vector<double>>& g0,
     const std::vector<std::vector<double>>& c0) {
-  const uint32_t n = graph_->num_nodes();
+  const uint32_t n = engine_.graph().num_nodes();
   const bool use_count = !c0.empty();
   if (y0.size() != n || g0.size() != n || (use_count && c0.size() != n)) {
     return Status::InvalidArgument("initial matrices must have N rows");
   }
-  for (uint32_t i = 0; i < n; ++i) {
-    if (y0[i].size() != n || g0[i].size() != n ||
-        (use_count && c0[i].size() != n)) {
-      return Status::InvalidArgument("initial matrices must have N columns");
-    }
+  std::vector<DenseGossipData> init(n);
+  for (NodeId i = 0; i < n; ++i) {
+    init[i].y = y0[i];
+    init[i].g = g0[i];
+    if (use_count) init[i].c = c0[i];
   }
-  if (options_.xi <= 0.0) {
-    return Status::InvalidArgument("xi must be positive");
-  }
-
-  Rng rng(options_.seed);
-  ThreadPool pool(options_.num_threads);
-
-  // Flat row-major state for cache friendliness.
-  const size_t nn = static_cast<size_t>(n) * n;
-  std::vector<double> y(nn), g(nn), c(use_count ? nn : 0);
-  for (uint32_t i = 0; i < n; ++i) {
-    std::copy(y0[i].begin(), y0[i].end(), y.begin() + i * n);
-    std::copy(g0[i].begin(), g0[i].end(), g.begin() + i * n);
-    if (use_count) std::copy(c0[i].begin(), c0[i].end(), c.begin() + i * n);
-  }
-
-  // Next-step rows (Phase B reads other nodes' previous rows, so the
-  // merge cannot update in place).
-  std::vector<double> next_y(nn), next_g(nn), next_c(use_count ? nn : 0);
-  std::vector<uint8_t> converged(n, 0), stopped(n, 0);
-  std::vector<uint32_t> streak(n, 0);
-  std::vector<uint64_t> node_sent(n, 0);
-  std::vector<uint32_t> node_active_steps(n, 0);
-
-  const double sentinel = options_.ratio_sentinel;
-
-  // prev_ratio[i*n + j]: u-vector per node (plus the count-channel ratios
-  // when that channel is active — eq. (7) must cover both).
-  std::vector<double> prev_ratio(nn), prev_cratio(use_count ? nn : 0);
-  for (size_t idx = 0; idx < nn; ++idx) {
-    prev_ratio[idx] = g[idx] != 0.0 ? y[idx] / g[idx] : sentinel;
-  }
-  if (use_count) {
-    for (size_t idx = 0; idx < nn; ++idx) {
-      prev_cratio[idx] = g[idx] != 0.0 ? c[idx] / g[idx] : sentinel;
-    }
-  }
+  ThreadPool pool(engine_.options().num_threads);
+  DGT_ASSIGN_OR_RETURN(auto run,
+                       engine_.Run(std::move(init), use_count, pool));
 
   VectorGossipResult res;
-  // One-time degree announcements, needed only when neighbour degrees
-  // feed the differential push count k_i (plain push uses a constant k).
-  if (options_.strategy == PushStrategy::kDifferential) {
-    res.control_messages += graph_->DegreeSum();
-    for (NodeId i = 0; i < n; ++i) node_sent[i] += graph_->Degree(i);
-  }
-
-  std::atomic<uint32_t> num_stopped{0};
+  static_cast<GossipRunStats&>(res) = run.stats;
+  const double sentinel = engine_.options().ratio_sentinel;
+  res.estimates.resize(n);
+  if (use_count) res.count_estimates.resize(n);
   for (NodeId i = 0; i < n; ++i) {
-    if (graph_->Degree(i) == 0) {
-      converged[i] = 1;
-      stopped[i] = 1;
-      num_stopped.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  const double threshold = static_cast<double>(n) * options_.xi;
-  std::atomic<uint64_t> control_messages{0};
-  StepPlan plan;
-  uint32_t step = 0;
-  while (num_stopped.load(std::memory_order_relaxed) < n &&
-         step < options_.max_steps) {
-    ++step;
-
-    // Phase A: draw every node's pushes and bin them per receiver.
-    BuildStepPlan(*graph_, options_, push_counts_, stopped, step, rng, rng,
-                  pool, plan);
-    res.gossip_messages += plan.pushes;
-    for (NodeId i = 0; i < n; ++i) node_sent[i] += plan.k_used[i];
-
-    // Phase B: every receiver accumulates its contributions (ascending-
-    // sender order, the serial engine's exact float order) into its next
-    // row and evaluates eq. (7). Only row i is written, so receivers
-    // shard freely across the pool.
-    pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-      for (size_t idx = begin; idx < end; ++idx) {
-        const NodeId i = static_cast<NodeId>(idx);
-        if (stopped[i]) continue;
-        ++node_active_steps[i];
-        const size_t row = static_cast<size_t>(i) * n;
-        std::fill(next_y.begin() + row, next_y.begin() + row + n, 0.0);
-        std::fill(next_g.begin() + row, next_g.begin() + row + n, 0.0);
-        if (use_count) {
-          std::fill(next_c.begin() + row, next_c.begin() + row + n, 0.0);
-        }
-        for (const PlanEntry& e : plan.inbox[i]) {
-          const double inv =
-              1.0 / (static_cast<double>(plan.k_used[e.sender]) + 1.0);
-          const double scale = static_cast<double>(e.shares) * inv;
-          const size_t srow = static_cast<size_t>(e.sender) * n;
-          for (uint32_t j = 0; j < n; ++j) {
-            next_y[row + j] += y[srow + j] * scale;
-            next_g[row + j] += g[srow + j] * scale;
-          }
-          if (use_count) {
-            for (uint32_t j = 0; j < n; ++j) {
-              next_c[row + j] += c[srow + j] * scale;
-            }
-          }
-        }
-
-        double l1_change = 0.0;
-        bool has_weight = false;
-        for (uint32_t j = 0; j < n; ++j) {
-          if (next_g[row + j] != 0.0) has_weight = true;
-          double r = next_g[row + j] != 0.0 ? next_y[row + j] / next_g[row + j]
-                                            : sentinel;
-          l1_change += std::fabs(r - prev_ratio[row + j]);
-          prev_ratio[row + j] = r;
-          if (use_count) {
-            double rc = next_g[row + j] != 0.0
-                            ? next_c[row + j] / next_g[row + j]
-                            : sentinel;
-            l1_change += std::fabs(rc - prev_cratio[row + j]);
-            prev_cratio[row + j] = rc;
-          }
-        }
-        // eq. (7) with the |S| > 1 guard, a weight guard (a node that has
-        // received no gossip weight parks at the sentinel, which is
-        // trivially stable), and an evidence-streak requirement (see
-        // GossipOptions::convergence_rounds): steps where the node heard
-        // something count for (change <= N xi) or against (reset); silent
-        // steps carry no evidence.
-        if (!converged[i]) {
-          if (plan.senders[i] >= 1 && has_weight) {
-            streak[i] = l1_change <= threshold ? streak[i] + 1 : 0;
-          }
-          if (streak[i] >= options_.convergence_rounds) {
-            converged[i] = 1;
-            control_messages.fetch_add(graph_->Degree(i),
-                                       std::memory_order_relaxed);
-            node_sent[i] += graph_->Degree(i);
-          }
-        }
-      }
-    });
-
-    // Install the merged rows (stopped nodes are frozen: senders bounced
-    // instead, so their previous rows stand).
-    pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        if (stopped[i]) continue;
-        const size_t row = i * n;
-        std::copy(next_y.begin() + row, next_y.begin() + row + n,
-                  y.begin() + row);
-        std::copy(next_g.begin() + row, next_g.begin() + row + n,
-                  g.begin() + row);
-        if (use_count) {
-          std::copy(next_c.begin() + row, next_c.begin() + row + n,
-                    c.begin() + row);
-        }
-      }
-    });
-
-    // Force-converge nodes that can never hear from anybody again.
-    pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-      for (size_t idx = begin; idx < end; ++idx) {
-        const NodeId i = static_cast<NodeId>(idx);
-        if (stopped[i] || converged[i] || graph_->Degree(i) == 0) continue;
-        bool all_stopped = true;
-        for (NodeId v : graph_->Neighbors(i)) {
-          if (!stopped[v]) {
-            all_stopped = false;
-            break;
-          }
-        }
-        if (all_stopped) {
-          converged[i] = 1;
-          control_messages.fetch_add(graph_->Degree(i),
-                                     std::memory_order_relaxed);
-          node_sent[i] += graph_->Degree(i);
-        }
-      }
-    });
-
-    pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-      for (size_t idx = begin; idx < end; ++idx) {
-        const NodeId i = static_cast<NodeId>(idx);
-        if (stopped[i] || !converged[i]) continue;
-        bool all = true;
-        for (NodeId v : graph_->Neighbors(i)) {
-          if (!converged[v]) {
-            all = false;
-            break;
-          }
-        }
-        if (all) {
-          stopped[i] = 1;
-          num_stopped.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-
-  res.control_messages += control_messages.load(std::memory_order_relaxed);
-  res.steps = step;
-  res.converged = (num_stopped.load(std::memory_order_relaxed) == n);
-  double per_step_sum = 0.0;
-  for (NodeId i = 0; i < n; ++i) {
-    per_step_sum += static_cast<double>(node_sent[i]) /
-                    static_cast<double>(std::max(node_active_steps[i], 1u));
-  }
-  res.mean_messages_per_active_node_step =
-      n > 0 ? per_step_sum / static_cast<double>(n) : 0.0;
-  res.estimates.assign(n, std::vector<double>(n, 0.0));
-  if (use_count) res.count_estimates.assign(n, std::vector<double>(n, 0.0));
-  for (uint32_t i = 0; i < n; ++i) {
-    const size_t row = static_cast<size_t>(i) * n;
-    for (uint32_t j = 0; j < n; ++j) {
-      res.estimates[i][j] =
-          g[row + j] != 0.0 ? y[row + j] / g[row + j] : sentinel;
-      if (use_count) {
-        res.count_estimates[i][j] =
-            g[row + j] != 0.0 ? c[row + j] / g[row + j] : sentinel;
-      }
-    }
+    const DenseGossipData& v = run.values[i];
+    res.estimates[i] = ColumnRatios(v.y, v.g, sentinel);
+    if (use_count) res.count_estimates[i] = ColumnRatios(v.c, v.g, sentinel);
   }
   return res;
 }

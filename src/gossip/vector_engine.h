@@ -9,7 +9,10 @@
 // Convergence uses the paper's eq. (7): node i declares convergence when
 //   sum_j |ratio_ij(n) - ratio_ij(n-1)| <= N * xi
 // in a step where it heard from at least one other node, followed by the
-// same announce/stop protocol as the scalar engine.
+// same announce/stop protocol as the scalar engine: both are
+// SyncPushSum (gossip/sync_push_sum.h), here over DenseVectorGossipPolicy.
+// The dense instance is the small-N reference the sparse one is checked
+// against; it needs N x N doubles per channel.
 
 #ifndef DGT_GOSSIP_VECTOR_ENGINE_H_
 #define DGT_GOSSIP_VECTOR_ENGINE_H_
@@ -17,56 +20,41 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/rng.h"
 #include "gossip/options.h"
+#include "gossip/sync_push_sum.h"
 #include "graph/graph.h"
 
 namespace dgt {
 
-struct VectorGossipResult {
+struct VectorGossipResult : GossipRunStats {
   // estimates[i][j]: node i's final ratio y_ij/g_ij for target j
   // (options.ratio_sentinel where g_ij == 0).
   std::vector<std::vector<double>> estimates;
   // count_estimates[i][j]: count_ij/g_ij — converges to the number of
   // nodes that held an opinion about j (when the count channel is used).
-  // Like estimates, holds options.ratio_sentinel where g_ij == 0; the
-  // aggregation layer maps the sentinel to "no information".
+  // Like estimates, holds options.ratio_sentinel where g_ij == 0.
   std::vector<std::vector<double>> count_estimates;
-
-  uint32_t steps = 0;
-  bool converged = false;
-  // A transmitted vector counts as one message (one network send); see
-  // GossipResult for the message taxonomy.
-  uint64_t gossip_messages = 0;
-  uint64_t control_messages = 0;
-  // Mean over nodes of transmitted messages per own active step (see
-  // GossipResult::mean_messages_per_active_node_step).
-  double mean_messages_per_active_node_step = 0.0;
-
-  double MessagesPerNodePerStep(uint32_t num_nodes) const {
-    if (num_nodes == 0 || steps == 0) return 0.0;
-    return static_cast<double>(gossip_messages + control_messages) /
-           (static_cast<double>(num_nodes) * static_cast<double>(steps));
-  }
 };
 
 class VectorPushSum {
  public:
-  VectorPushSum(const Graph* graph, GossipOptions options);
+  VectorPushSum(const Graph* graph, GossipOptions options)
+      : engine_(graph, options) {}
 
   // y0/g0 (and c0 if nonempty) are N x N row-major matrices: row i is node
-  // i's initial vector. Fails with InvalidArgument on dimension mismatch.
+  // i's initial vector. Fails with InvalidArgument on dimension mismatch,
+  // a negative gossip weight, or xi <= 0.
   Result<VectorGossipResult> Run(const std::vector<std::vector<double>>& y0,
                                  const std::vector<std::vector<double>>& g0,
                                  const std::vector<std::vector<double>>& c0 =
                                      {});
 
-  const std::vector<uint32_t>& push_counts() const { return push_counts_; }
+  const std::vector<uint32_t>& push_counts() const {
+    return engine_.push_counts();
+  }
 
  private:
-  const Graph* graph_;
-  GossipOptions options_;
-  std::vector<uint32_t> push_counts_;
+  SyncPushSum<DenseVectorGossipPolicy> engine_;
 };
 
 }  // namespace dgt

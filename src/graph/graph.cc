@@ -43,18 +43,23 @@ bool Graph::HasEdge(NodeId u, NodeId v) const {
   return std::find(a.begin(), a.end(), target) != a.end();
 }
 
-double Graph::AverageNeighborDegree(NodeId u) const {
-  const auto& nbrs = adj_[u];
+namespace {
+
+double AverageNeighborDegreeOf(const AdjacencyLists& adj, NodeId u) {
+  const auto& nbrs = adj[u];
   if (nbrs.empty()) return 0.0;
   uint64_t sum = 0;
-  for (NodeId v : nbrs) sum += adj_[v].size();
+  for (NodeId v : nbrs) sum += adj[v].size();
   return static_cast<double>(sum) / static_cast<double>(nbrs.size());
 }
 
-uint32_t Graph::DifferentialPushCount(NodeId u, KRounding rounding) const {
-  double avg = AverageNeighborDegree(u);
+}  // namespace
+
+uint32_t DifferentialPushCount(const AdjacencyLists& adj, NodeId u,
+                               KRounding rounding) {
+  double avg = AverageNeighborDegreeOf(adj, u);
   if (avg <= 0.0) return 1;
-  double ratio = static_cast<double>(Degree(u)) / avg;
+  double ratio = static_cast<double>(adj[u].size()) / avg;
   if (ratio < 1.0) return 1;
   switch (rounding) {
     case KRounding::kFloor:
@@ -65,6 +70,10 @@ uint32_t Graph::DifferentialPushCount(NodeId u, KRounding rounding) const {
       break;
   }
   return static_cast<uint32_t>(std::lround(ratio));
+}
+
+double Graph::AverageNeighborDegree(NodeId u) const {
+  return AverageNeighborDegreeOf(adj_, u);
 }
 
 std::vector<std::pair<NodeId, NodeId>> Graph::Edges() const {

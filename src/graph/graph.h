@@ -26,6 +26,18 @@ enum class KRounding {
   kCeil,
 };
 
+// Adjacency lists indexed by node id: the view the gossip step planner and
+// the push-count formula read, shared by Graph and by engines that keep
+// their own mutable overlay.
+using AdjacencyLists = std::vector<std::vector<NodeId>>;
+
+// The differential-gossip push count for node u of `adj`:
+//   k_u = round(deg(u) / avg_neighbor_deg(u)) if the ratio >= 1, else 1.
+// Isolated nodes get k = 1 by convention (they only push to themselves).
+// `rounding` selects the integer mapping (paper: round to nearest).
+uint32_t DifferentialPushCount(const AdjacencyLists& adj, NodeId u,
+                               KRounding rounding = KRounding::kRound);
+
 class Graph {
  public:
   // Creates an edgeless graph with `num_nodes` nodes.
@@ -52,15 +64,16 @@ class Graph {
   // Neighbours of u, in insertion order.
   const std::vector<NodeId>& Neighbors(NodeId u) const { return adj_[u]; }
 
+  const AdjacencyLists& adjacency() const { return adj_; }
+
   // Mean degree over the neighbours of u; 0 for isolated nodes.
   double AverageNeighborDegree(NodeId u) const;
 
-  // The differential-gossip push count for node u:
-  //   k_u = round(deg(u) / avg_neighbor_deg(u)) if the ratio >= 1, else 1.
-  // Isolated nodes get k = 1 by convention (they only push to themselves).
-  // `rounding` selects the integer mapping (paper: round to nearest).
-  uint32_t DifferentialPushCount(NodeId u,
-                                 KRounding rounding = KRounding::kRound) const;
+  // dgt::DifferentialPushCount over this graph's adjacency.
+  uint32_t DifferentialPushCount(
+      NodeId u, KRounding rounding = KRounding::kRound) const {
+    return dgt::DifferentialPushCount(adj_, u, rounding);
+  }
 
   // All edges as (u, v) with u < v, sorted.
   std::vector<std::pair<NodeId, NodeId>> Edges() const;
@@ -69,7 +82,7 @@ class Graph {
   uint64_t DegreeSum() const;
 
  private:
-  std::vector<std::vector<NodeId>> adj_;
+  AdjacencyLists adj_;
   uint64_t num_edges_ = 0;
 };
 

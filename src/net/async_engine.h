@@ -1,5 +1,5 @@
 // AsyncEventEngine: the event-driven differential push-sum executor,
-// templated over a value policy (net/gossip_state.h) and parallelised by
+// templated over a value policy (gossip/gossip_state.h) and parallelised by
 // conservative time-window lookahead.
 //
 // Determinism contract (the async analogue of the synchronous engines'
@@ -45,6 +45,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "gossip/options.h"
+#include "gossip/step_plan.h"
 #include "graph/graph.h"
 #include "net/event_queue.h"
 #include "net/link_model.h"
@@ -290,13 +291,7 @@ class AsyncEventEngine {
       typename Policy::Share share = Policy::Split(node[i].value, kk);
 
       std::vector<NodeId> targets;
-      if (kk == 1) {
-        targets.push_back(nbrs[er.NextBelow(deg)]);
-      } else {
-        for (uint32_t idx : er.SampleWithoutReplacement(deg, kk)) {
-          targets.push_back(nbrs[idx]);
-        }
-      }
+      DrawTargets(nbrs, kk, er, targets);
       for (NodeId tgt : targets) {
         ++out.gossip_messages;
         if (options_.packet_loss_prob > 0.0 &&

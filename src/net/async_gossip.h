@@ -1,7 +1,7 @@
 // Event-driven push-sum gossip over the paper's section-3 link model —
 // relaxing the "time is discrete" assumption (its assumption ii) to
 // message-level asynchrony. Three front-ends over the same executor
-// (net/async_engine.h), one per value policy (net/gossip_state.h):
+// (net/async_engine.h), one per value policy (gossip/gossip_state.h):
 //
 //   AsyncPushSum        — scalar state (paper variants 1/2).
 //   AsyncVectorPushSum  — dense vector state (variants 3/4 at small N,
@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "gossip/sparse_vector_engine.h"
+#include "gossip/gossip_state.h"
 #include "graph/graph.h"
 #include "net/async_engine.h"
 

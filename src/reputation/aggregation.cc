@@ -1,13 +1,14 @@
 #include "reputation/aggregation.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 #include <utility>
 
 #include "common/thread_pool.h"
+#include "gossip/gossip_state.h"
 #include "gossip/scalar_engine.h"
-#include "gossip/sparse_vector_engine.h"
-#include "gossip/vector_engine.h"
+#include "gossip/sync_push_sum.h"
 
 namespace dgt {
 
@@ -26,33 +27,46 @@ Status ValidateInputs(const Graph& graph, const TrustMatrix& trust) {
   return Status::OK();
 }
 
-GossipRunStats StatsFromScalar(const GossipResult& r) {
-  return {r.steps, r.converged, r.gossip_messages, r.control_messages,
-          r.mean_messages_per_active_node_step};
-}
-
-GossipRunStats StatsFromVector(const VectorGossipResult& r) {
-  return {r.steps, r.converged, r.gossip_messages, r.control_messages,
-          r.mean_messages_per_active_node_step};
-}
-
-GossipRunStats StatsFromSparse(const SparseVectorGossipResult& r) {
-  return {r.steps,           r.converged,
-          r.gossip_messages, r.control_messages,
-          r.mean_messages_per_active_node_step, r.peak_state_nonzeros};
-}
-
-// All trust rows as sorted (column, t) pairs — the deterministic sparse
-// iteration both vector engines' seeding and the yhat accumulation use,
-// so the two engine paths are float-for-float identical.
-std::vector<std::vector<std::pair<NodeId, double>>> AllSortedRows(
-    const TrustMatrix& trust) {
-  std::vector<std::vector<std::pair<NodeId, double>>> rows;
-  rows.reserve(trust.num_nodes());
-  for (NodeId i = 0; i < trust.num_nodes(); ++i) {
-    rows.push_back(trust.SortedRow(i));
+// Runs the vector gossip (variants 3/4) from `init` on the executor
+// instance options.engine selects and returns the final rows. The dense
+// instance densifies `init`, runs the same protocol, and hands back each
+// dense row as a sparse row with every column present, so both instances
+// feed one post-processing pass.
+Result<SyncPushSumResult<SparseVectorGossipPolicy>> RunVectorGossip(
+    const Graph& graph, std::vector<SparseVectorRow> init, bool use_count,
+    const AggregationOptions& options, ThreadPool& pool) {
+  if (options.engine == VectorGossipEngine::kSparse) {
+    return SyncPushSum<SparseVectorGossipPolicy>(&graph, options.gossip)
+        .Run(std::move(init), use_count, pool);
   }
-  return rows;
+  const uint32_t n = graph.num_nodes();
+  std::vector<DenseGossipData> dense(n);
+  for (NodeId i = 0; i < n; ++i) {
+    dense[i].y.assign(n, 0.0);
+    dense[i].g.assign(n, 0.0);
+    if (use_count) dense[i].c.assign(n, 0.0);
+    const SparseVectorRow& row = init[i];
+    for (size_t k = 0; k < row.nnz(); ++k) {
+      dense[i].y[row.cols[k]] = row.y[k];
+      dense[i].g[row.cols[k]] = row.g[k];
+      if (use_count) dense[i].c[row.cols[k]] = row.c[k];
+    }
+  }
+  DGT_ASSIGN_OR_RETURN(
+      auto run, SyncPushSum<DenseVectorGossipPolicy>(&graph, options.gossip)
+                    .Run(std::move(dense), use_count, pool));
+  SyncPushSumResult<SparseVectorGossipPolicy> out;
+  out.stats = run.stats;
+  out.values.resize(n);
+  for (NodeId i = 0; i < n; ++i) {
+    SparseVectorRow& row = out.values[i];
+    row.cols.resize(n);
+    std::iota(row.cols.begin(), row.cols.end(), 0u);
+    row.y = std::move(run.values[i].y);
+    row.g = std::move(run.values[i].g);
+    row.c = std::move(run.values[i].c);
+  }
+  return out;
 }
 
 // yhat_row[j] for observer i (see BuildNeighborhoodWeighting), accumulated
@@ -113,6 +127,48 @@ Result<std::vector<WeightTable>> BuildAllWeightTables(
   return tables;
 }
 
+// Variant 4's observer post-processing over the final gossip rows, shared
+// by the synchronous and event-driven paths. Observer i's output for
+// target j is (yhat_i(j) + est) / (excess_den_i + count_est) with est = y/g
+// and count_est = c/g (N under kAllNodes); columns without gossip weight
+// stay at 0. yhat_row[j] for observer i is accumulated sparsely over the
+// rated nodes' opinion rows (the observer's interaction set; everyone
+// else has weight exactly 1): O(sum_i |rated_i| * |row|). Observers are
+// independent, so they shard across `pool`; each writes only its own
+// output row.
+Result<std::vector<std::vector<double>>> AssembleGclr(
+    const TrustMatrix& trust, const std::vector<SparseVectorRow>& rows,
+    const WeightParams& weights, DenominatorMode denominator,
+    ThreadPool& pool) {
+  const uint32_t n = trust.num_nodes();
+  DGT_ASSIGN_OR_RETURN(std::vector<WeightTable> tables,
+                       BuildAllWeightTables(trust, weights));
+  // Sorted (column, t) rows: the deterministic sparse iteration order.
+  std::vector<std::vector<std::pair<NodeId, double>>> sorted_rows(n);
+  for (NodeId i = 0; i < n; ++i) sorted_rows[i] = trust.SortedRow(i);
+  std::vector<std::vector<double>> estimates(n, std::vector<double>(n, 0.0));
+  pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
+    std::vector<double> yhat_row(n);
+    for (size_t i = begin; i < end; ++i) {
+      FillYhatRow(sorted_rows, tables[i], &yhat_row);
+      const double excess_den = tables[i].TotalExcessWeight();
+      const SparseVectorRow& row = rows[i];
+      for (size_t k = 0; k < row.nnz(); ++k) {
+        if (row.g[k] == 0.0) continue;  // no gossip weight reached i
+        const NodeId j = row.cols[k];
+        double est = row.y[k] / row.g[k];
+        double count_est = denominator == DenominatorMode::kAllNodes
+                               ? static_cast<double>(n)
+                               : row.c[k] / row.g[k];
+        double den = excess_den + count_est;
+        if (den <= 0.0) continue;
+        estimates[i][j] = (yhat_row[j] + est) / den;
+      }
+    }
+  });
+  return estimates;
+}
+
 }  // namespace
 
 Result<SingleAggregationResult> AggregateGlobalSingle(
@@ -136,7 +192,7 @@ Result<SingleAggregationResult> AggregateGlobalSingle(
   for (NodeId i = 0; i < graph.num_nodes(); ++i) {
     if (run.weights[i] == 0.0) out.estimates[i] = 0.0;
   }
-  out.stats = StatsFromScalar(run);
+  out.stats = static_cast<const GossipRunStats&>(run);
   return out;
 }
 
@@ -179,7 +235,7 @@ Result<SingleAggregationResult> AggregateGclrSingle(
     if (denominator <= 0.0) continue;
     out.estimates[i] = (nw.yhat[i] + sum_est) / denominator;
   }
-  out.stats = StatsFromScalar(run);
+  out.stats = static_cast<const GossipRunStats&>(run);
   // Pre-round neighbour feedback pushes: each opinator sends its direct
   // feedback about j to all its neighbours.
   for (NodeId i = 0; i < n; ++i) {
@@ -193,55 +249,31 @@ Result<VectorAggregationResult> AggregateGlobalVector(
     const AggregationOptions& options) {
   DGT_RETURN_IF_ERROR(ValidateInputs(graph, trust));
   const uint32_t n = graph.num_nodes();
-  VectorAggregationResult out;
 
-  if (options.engine == VectorGossipEngine::kDense) {
-    std::vector<std::vector<double>> y0(n, std::vector<double>(n, 0.0));
-    std::vector<std::vector<double>> g0(n, std::vector<double>(n, 0.0));
-    for (NodeId i = 0; i < n; ++i) {
-      for (const auto& [j, t] : trust.Row(i)) {
-        y0[i][j] = t;
-        g0[i][j] = 1.0;
-      }
-    }
-    VectorPushSum engine(&graph, options.gossip);
-    DGT_ASSIGN_OR_RETURN(VectorGossipResult run, engine.Run(y0, g0));
-    out.estimates = std::move(run.estimates);
-    // Sentinel entries (no weight received) -> 0.
-    for (auto& row : out.estimates) {
-      for (auto& v : row) {
-        if (v == options.gossip.ratio_sentinel) v = 0.0;
-      }
-    }
-    out.stats = StatsFromVector(run);
-    return out;
-  }
-
+  // Node i's sorted opinion row, each opinion with gossip weight 1.
   std::vector<SparseVectorRow> init(n);
   for (NodeId i = 0; i < n; ++i) {
-    const auto row = trust.SortedRow(i);
-    init[i].cols.reserve(row.size());
-    init[i].y.reserve(row.size());
-    init[i].g.reserve(row.size());
-    for (const auto& [j, t] : row) {
+    for (const auto& [j, t] : trust.SortedRow(i)) {
       init[i].cols.push_back(j);
       init[i].y.push_back(t);
       init[i].g.push_back(1.0);
     }
   }
-  SparseVectorPushSum engine(&graph, options.gossip);
-  DGT_ASSIGN_OR_RETURN(SparseVectorGossipResult run,
-                       engine.Run(std::move(init), /*use_count=*/false));
+  ThreadPool pool(options.gossip.num_threads);
+  DGT_ASSIGN_OR_RETURN(auto run, RunVectorGossip(graph, std::move(init),
+                                                 /*use_count=*/false,
+                                                 options, pool));
+
+  VectorAggregationResult out;
   out.estimates.assign(n, std::vector<double>(n, 0.0));
   for (NodeId i = 0; i < n; ++i) {
-    const auto& row = run.rows[i];
-    for (size_t k = 0; k < row.cols.size(); ++k) {
-      // Mirror the dense path's sentinel -> 0 mapping exactly.
-      if (row.estimates[k] == options.gossip.ratio_sentinel) continue;
-      out.estimates[i][row.cols[k]] = row.estimates[k];
+    const SparseVectorRow& row = run.values[i];
+    for (size_t k = 0; k < row.nnz(); ++k) {
+      // Columns without gossip weight stay at 0 ("no information").
+      if (row.g[k] != 0.0) out.estimates[i][row.cols[k]] = row.y[k] / row.g[k];
     }
   }
-  out.stats = StatsFromSparse(run);
+  out.stats = run.stats;
   return out;
 }
 
@@ -249,35 +281,25 @@ std::vector<SparseVectorRow> BuildGclrSparseInit(const TrustMatrix& trust) {
   const uint32_t n = trust.num_nodes();
   std::vector<SparseVectorRow> init(n);
   for (NodeId i = 0; i < n; ++i) {
-    const auto row = trust.SortedRow(i);
     SparseVectorRow& r = init[i];
-    r.cols.reserve(row.size() + 1);
-    r.y.reserve(row.size() + 1);
-    r.g.reserve(row.size() + 1);
-    r.c.reserve(row.size() + 1);
-    bool diagonal_placed = false;
+    auto append = [&r](NodeId col, double y, double g, double c) {
+      r.cols.push_back(col);
+      r.y.push_back(y);
+      r.g.push_back(g);
+      r.c.push_back(c);
+    };
     // For target j, node j itself holds the one-hot gossip weight; merge
     // that diagonal entry into i's sorted opinion row (t_ii cannot exist,
     // so the merge never collides).
-    for (const auto& [j, t] : row) {
+    bool diagonal_placed = false;
+    for (const auto& [j, t] : trust.SortedRow(i)) {
       if (!diagonal_placed && i < j) {
-        r.cols.push_back(i);
-        r.y.push_back(0.0);
-        r.g.push_back(1.0);
-        r.c.push_back(0.0);
+        append(i, 0.0, 1.0, 0.0);
         diagonal_placed = true;
       }
-      r.cols.push_back(j);
-      r.y.push_back(t);
-      r.g.push_back(0.0);
-      r.c.push_back(1.0);
+      append(j, t, 0.0, 1.0);
     }
-    if (!diagonal_placed) {
-      r.cols.push_back(i);
-      r.y.push_back(0.0);
-      r.g.push_back(1.0);
-      r.c.push_back(0.0);
-    }
+    if (!diagonal_placed) append(i, 0.0, 1.0, 0.0);
   }
   return init;
 }
@@ -286,45 +308,18 @@ Result<AsyncVectorAggregationResult> AggregateGclrVectorAsync(
     const Graph& graph, const TrustMatrix& trust,
     const AsyncAggregationOptions& options) {
   DGT_RETURN_IF_ERROR(ValidateInputs(graph, trust));
-  const uint32_t n = graph.num_nodes();
-
-  DGT_ASSIGN_OR_RETURN(std::vector<WeightTable> tables,
-                       BuildAllWeightTables(trust, options.weights));
-  const auto sorted_rows = AllSortedRows(trust);
-
-  std::vector<SparseVectorRow> init = BuildGclrSparseInit(trust);
   AsyncSparsePushSum engine(&graph, options.gossip);
-  DGT_ASSIGN_OR_RETURN(AsyncSparseGossipResult run,
-                       engine.Run(std::move(init), /*use_count=*/true));
+  DGT_ASSIGN_OR_RETURN(
+      AsyncSparseGossipResult run,
+      engine.Run(BuildGclrSparseInit(trust), /*use_count=*/true));
 
-  AsyncVectorAggregationResult out;
-  out.estimates.assign(n, std::vector<double>(n, 0.0));
-  // Observer post-processing mirrors the synchronous sparse path: yhat
-  // accumulation plus output assembly per observer, sharded across a
-  // pool constructed only after the engine's own pool is gone. The
-  // engine returns raw rows (y/g/c), so the estimate and count ratio are
-  // formed here; columns without gossip weight stay at 0.
+  // The post-processing pool is constructed only after the engine's own
+  // pool is gone.
   ThreadPool pool(options.gossip.num_threads);
-  pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-    std::vector<double> yhat_row(n);
-    for (size_t idx = begin; idx < end; ++idx) {
-      const NodeId i = static_cast<NodeId>(idx);
-      FillYhatRow(sorted_rows, tables[i], &yhat_row);
-      const double excess_den = tables[i].TotalExcessWeight();
-      const SparseVectorRow& row = run.rows[i];
-      for (size_t k = 0; k < row.cols.size(); ++k) {
-        if (row.g[k] == 0.0) continue;  // no gossip weight reached i
-        const NodeId j = row.cols[k];
-        double est = row.y[k] / row.g[k];
-        double count_est = options.denominator == DenominatorMode::kAllNodes
-                               ? static_cast<double>(n)
-                               : row.c[k] / row.g[k];
-        double denominator = excess_den + count_est;
-        if (denominator <= 0.0) continue;
-        out.estimates[i][j] = (yhat_row[j] + est) / denominator;
-      }
-    }
-  });
+  AsyncVectorAggregationResult out;
+  DGT_ASSIGN_OR_RETURN(out.estimates,
+                       AssembleGclr(trust, run.rows, options.weights,
+                                    options.denominator, pool));
   out.stats = run.stats;
   // Pre-round feedback vectors: one per edge direction.
   out.stats.control_messages += graph.DegreeSum();
@@ -335,90 +330,16 @@ Result<VectorAggregationResult> AggregateGclrVector(
     const Graph& graph, const TrustMatrix& trust,
     const AggregationOptions& options) {
   DGT_RETURN_IF_ERROR(ValidateInputs(graph, trust));
-  const uint32_t n = graph.num_nodes();
-
-  DGT_ASSIGN_OR_RETURN(std::vector<WeightTable> tables,
-                       BuildAllWeightTables(trust, options.weights));
-  const auto sorted_rows = AllSortedRows(trust);
+  ThreadPool pool(options.gossip.num_threads);
+  DGT_ASSIGN_OR_RETURN(
+      auto run, RunVectorGossip(graph, BuildGclrSparseInit(trust),
+                                /*use_count=*/true, options, pool));
 
   VectorAggregationResult out;
-  out.estimates.assign(n, std::vector<double>(n, 0.0));
-  // Observer i's output for target j from the gossiped (est, count_est).
-  // yhat_j is yhat_row[j] for observer i, accumulated sparsely over the
-  // rated nodes' opinion rows (the observer's interaction set; everyone
-  // else has weight exactly 1): O(sum_i |rated_i| * |row|).
-  auto assemble = [&](NodeId i, NodeId j, double yhat_j, double excess_den,
-                      double est, double count_channel) {
-    double count_est = options.denominator == DenominatorMode::kAllNodes
-                           ? static_cast<double>(n)
-                           : count_channel;
-    double denominator = excess_den + count_est;
-    if (denominator <= 0.0) return;
-    out.estimates[i][j] = (yhat_j + est) / denominator;
-  };
-
-  if (options.engine == VectorGossipEngine::kDense) {
-    std::vector<std::vector<double>> y0(n, std::vector<double>(n, 0.0));
-    std::vector<std::vector<double>> g0(n, std::vector<double>(n, 0.0));
-    std::vector<std::vector<double>> c0(n, std::vector<double>(n, 0.0));
-    for (NodeId i = 0; i < n; ++i) {
-      for (const auto& [j, t] : trust.Row(i)) {
-        y0[i][j] = t;
-        c0[i][j] = 1.0;
-      }
-      // For target j, node j itself holds the one-hot gossip weight.
-      g0[i][i] = 1.0;
-    }
-    VectorPushSum engine(&graph, options.gossip);
-    DGT_ASSIGN_OR_RETURN(VectorGossipResult run, engine.Run(y0, g0, c0));
-    // Observer post-processing (yhat accumulation + output assembly) is
-    // independent per observer, so it shards across its own pool; each
-    // observer writes only its own output row. Constructed only after
-    // the engine (and its pool) has finished.
-    ThreadPool pool(options.gossip.num_threads);
-    pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-      std::vector<double> yhat_row(n);
-      for (size_t idx = begin; idx < end; ++idx) {
-        const NodeId i = static_cast<NodeId>(idx);
-        FillYhatRow(sorted_rows, tables[i], &yhat_row);
-        const double excess_den = tables[i].TotalExcessWeight();
-        for (NodeId j = 0; j < n; ++j) {
-          double est = run.estimates[i][j];
-          if (est == options.gossip.ratio_sentinel) continue;
-          assemble(i, j, yhat_row[j], excess_den, est,
-                   run.count_estimates[i][j]);
-        }
-      }
-    });
-    out.stats = StatsFromVector(run);
-    // Pre-round feedback vectors: one per edge direction.
-    out.stats.control_messages += graph.DegreeSum();
-    return out;
-  }
-
-  std::vector<SparseVectorRow> init = BuildGclrSparseInit(trust);
-  SparseVectorPushSum engine(&graph, options.gossip);
-  DGT_ASSIGN_OR_RETURN(SparseVectorGossipResult run,
-                       engine.Run(std::move(init), /*use_count=*/true));
-  // See the dense branch: the post-processing pool lives only after the
-  // engine's own pool is gone.
-  ThreadPool pool(options.gossip.num_threads);
-  pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-    std::vector<double> yhat_row(n);
-    for (size_t idx = begin; idx < end; ++idx) {
-      const NodeId i = static_cast<NodeId>(idx);
-      FillYhatRow(sorted_rows, tables[i], &yhat_row);
-      const double excess_den = tables[i].TotalExcessWeight();
-      const auto& row = run.rows[i];
-      for (size_t k = 0; k < row.cols.size(); ++k) {
-        double est = row.estimates[k];
-        if (est == options.gossip.ratio_sentinel) continue;
-        assemble(i, row.cols[k], yhat_row[row.cols[k]], excess_den, est,
-                 row.count_estimates[k]);
-      }
-    }
-  });
-  out.stats = StatsFromSparse(run);
+  DGT_ASSIGN_OR_RETURN(out.estimates,
+                       AssembleGclr(trust, run.values, options.weights,
+                                    options.denominator, pool));
+  out.stats = run.stats;
   // Pre-round feedback vectors: one per edge direction.
   out.stats.control_messages += graph.DegreeSum();
   return out;

@@ -29,16 +29,16 @@
 
 namespace dgt {
 
-// Which machinery runs the vector variants (3 and 4). Both produce
-// bit-for-bit identical estimates, step counts, and message counts for
-// the same options (see tests/gossip/sparse_vector_engine_test.cc).
+// Which value policy the synchronous executor (gossip/sync_push_sum.h)
+// runs the vector variants (3 and 4) over. Both produce bit-for-bit
+// identical estimates, step counts, and message counts for the same
+// options (see tests/gossip/sparse_vector_engine_test.cc).
 enum class VectorGossipEngine {
-  // SparseVectorPushSum: per-node state sized by its live nonzeros; the
-  // per-step cost follows the nonzeros pushed. The only engine that
-  // reaches large N (the dense one needs six N x N arrays — ~120 GB at
-  // the paper's N = 50,000).
+  // SparseVectorGossipPolicy: per-node state sized by its live nonzeros;
+  // the per-step cost follows the nonzeros pushed.
   kSparse,
-  // Dense VectorPushSum, kept for small-N cross-validation.
+  // DenseVectorGossipPolicy (N doubles per channel per node), kept as the
+  // small-N reference for the sparse fold.
   kDense,
 };
 
@@ -64,24 +64,6 @@ struct AggregationOptions {
   // natural initiator; any fixed id works.
   bool designate_target_as_weight_node = true;
   NodeId designated_weight_node = 0;
-};
-
-struct GossipRunStats {
-  uint32_t steps = 0;
-  bool converged = false;
-  uint64_t gossip_messages = 0;
-  uint64_t control_messages = 0;
-  // See GossipResult::mean_messages_per_active_node_step.
-  double mean_messages_per_active_node_step = 0.0;
-  // Peak live nonzeros of the engine's state (sparse vector engine only;
-  // 0 for the scalar and dense engines). The large-N benches report it.
-  uint64_t peak_state_nonzeros = 0;
-
-  double MessagesPerNodePerStep(uint32_t num_nodes) const {
-    if (num_nodes == 0 || steps == 0) return 0.0;
-    return static_cast<double>(gossip_messages + control_messages) /
-           (static_cast<double>(num_nodes) * static_cast<double>(steps));
-  }
 };
 
 struct SingleAggregationResult {

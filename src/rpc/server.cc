@@ -97,21 +97,23 @@ void RpcServer::Stop() {
   // Unblock accept() and every reader's recv(); descriptors are only
   // closed by their owners' destructors after the threads joined.
   listen_fd_.ShutdownBothEnds();
+  std::vector<std::thread> readers;  // dgt-lint: raw-thread-ok(RpcServer owns the per-connection reader threads)
   {
     MutexLock lock(conns_mu_);
-    for (auto& conn : connections_) {
-      conn->open.store(false, std::memory_order_relaxed);
-      conn->fd.ShutdownBothEnds();
+    readers.reserve(connections_.size());
+    for (LiveConnection& live : connections_) {
+      live.conn->open.store(false, std::memory_order_relaxed);
+      live.conn->fd.ShutdownBothEnds();
+      readers.push_back(std::move(live.reader));
     }
   }
   if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    MutexLock lock(conns_mu_);
-    for (auto& t : reader_threads_) {
-      if (t.joinable()) t.join();
-    }
-    reader_threads_.clear();
+  // Joined without conns_mu_: an exiting reader takes it to reap itself
+  // (and then finds its thread already moved out).
+  for (auto& t : readers) {
+    if (t.joinable()) t.join();
   }
+  JoinFinishedReaders();
   // Already-accepted requests drain before the workers exit (their
   // replies fail harmlessly on the shut-down sockets).
   queue_.Close();
@@ -142,17 +144,37 @@ void RpcServer::ReleaseWorkers() {
 void RpcServer::AcceptLoop() {
   for (;;) {
     Result<UniqueFd> accepted = AcceptConnection(listen_fd_.get());
-    if (!accepted.ok()) return;  // listener shut down
-    if (stopping_.load()) return;
+    if (stopping_.load()) return;  // Stop() shut the listener down
+    if (!accepted.ok()) {
+      // An aborted handshake or exhausted descriptors, buffers or memory
+      // must not end the accept thread: back off briefly (letting
+      // readers release descriptors) and keep accepting.
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;
+    }
+    JoinFinishedReaders();
     auto conn = std::make_shared<Connection>();
     conn->fd = std::move(accepted).value();
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     connections_counter_->Increment();
     MutexLock lock(conns_mu_);
     if (stopping_.load()) return;  // raced Stop(); drop the connection
-    connections_.push_back(conn);
+    // Registered under conns_mu_, so before the reader can reap itself.
+    LiveConnection live{conn, {}};
     // dgt-lint: raw-thread-ok(RpcServer owns the per-connection reader threads)
-    reader_threads_.emplace_back([this, conn] { ReaderLoop(conn); });
+    live.reader = std::thread([this, conn] { ReaderLoop(conn); });
+    connections_.push_back(std::move(live));
+  }
+}
+
+void RpcServer::JoinFinishedReaders() {
+  std::vector<std::thread> finished;  // dgt-lint: raw-thread-ok(RpcServer owns the per-connection reader threads)
+  {
+    MutexLock lock(conns_mu_);
+    finished.swap(finished_readers_);
+  }
+  for (auto& t : finished) {
+    if (t.joinable()) t.join();
   }
 }
 
@@ -223,6 +245,14 @@ void RpcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
   }
   conn->open.store(false, std::memory_order_relaxed);
   conn->fd.ShutdownBothEnds();
+  MutexLock lock(conns_mu_);
+  for (auto it = connections_.begin(); it != connections_.end(); ++it) {
+    if (it->conn == conn) {
+      finished_readers_.push_back(std::move(it->reader));
+      connections_.erase(it);
+      break;
+    }
+  }
 }
 
 void RpcServer::WorkerLoop() {

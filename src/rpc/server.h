@@ -167,7 +167,9 @@ class RpcServer {
   };
 
   void AcceptLoop() DGT_EXCLUDES(conns_mu_);
-  void ReaderLoop(std::shared_ptr<Connection> conn);
+  void ReaderLoop(std::shared_ptr<Connection> conn) DGT_EXCLUDES(conns_mu_);
+  // Joins the reader threads that have exited since the last call.
+  void JoinFinishedReaders() DGT_EXCLUDES(conns_mu_);
   void WorkerLoop() DGT_EXCLUDES(hold_mu_);
   // Times DispatchRequest into the per-op service-latency histogram.
   void ProcessRequest(const Request& req,
@@ -212,10 +214,19 @@ class RpcServer {
   std::vector<std::thread> workers_;  // dgt-lint: raw-thread-ok(RpcServer owns its worker pool)
   BoundedWorkQueue<Request> queue_;
 
+  // Open connections with their reader threads. A reader reaps its own
+  // entry when it exits: the Connection (and with it the descriptor)
+  // dies once the last queued request holding it is answered, and the
+  // reader's std::thread moves to finished_readers_, which the accept
+  // thread and Stop() join — so closed connections pin neither a
+  // descriptor nor an exited thread.
+  struct LiveConnection {
+    std::shared_ptr<Connection> conn;
+    std::thread reader;  // dgt-lint: raw-thread-ok(RpcServer owns the per-connection reader threads)
+  };
   Mutex conns_mu_;
-  std::vector<std::shared_ptr<Connection>> connections_
-      DGT_GUARDED_BY(conns_mu_);
-  std::vector<std::thread> reader_threads_  // dgt-lint: raw-thread-ok(RpcServer owns the per-connection reader threads)
+  std::vector<LiveConnection> connections_ DGT_GUARDED_BY(conns_mu_);
+  std::vector<std::thread> finished_readers_  // dgt-lint: raw-thread-ok(RpcServer owns the per-connection reader threads)
       DGT_GUARDED_BY(conns_mu_);
 
   Mutex hold_mu_;

@@ -9,9 +9,9 @@
 #include <limits>
 #include <vector>
 
+#include "gossip/gossip_state.h"
 #include "gossip/sparse_vector_engine.h"
 #include "net/async_gossip.h"
-#include "net/gossip_state.h"
 #include "test_util.h"
 #include "gtest/gtest.h"
 

@@ -2,14 +2,18 @@
 // before the first epoch, deterministic backpressure when the bounded
 // request queue fills, the error-close discipline (malformed frame /
 // version mismatch answer then close; unknown type answers and keeps
-// the connection), and served query results matching the in-process
-// service. The full workload bit-identity run lives in
-// end_to_end_test.cc.
+// the connection), served query results matching the in-process
+// service, and closed connections releasing their descriptors. The full
+// workload bit-identity run lives in end_to_end_test.cc.
 
 #include "rpc/server.h"
 
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "rpc/client.h"
@@ -246,6 +250,46 @@ TEST(RpcServerTest, MalformedFrameAnswersRequestIdZeroThenCloses) {
 
   Result<std::vector<uint8_t>> after = ReadFrame(fd);
   EXPECT_FALSE(after.ok());
+}
+
+// Open descriptors of this process (server and clients share it), or -1
+// where /proc is unavailable.
+int OpenFdCount() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/fd", ec);
+  if (ec) return -1;
+  int count = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    if (ec) return -1;
+    ++count;
+  }
+  return count;
+}
+
+TEST(RpcServerTest, ClosedConnectionsReleaseTheirDescriptors) {
+  Fixture fx(16, 1);
+  const int before = OpenFdCount();
+  if (before < 0) GTEST_SKIP() << "/proc/self/fd is not available";
+
+  for (int cycle = 0; cycle < 300; ++cycle) {
+    Result<RpcClient> client = RpcClient::Connect(fx.server->port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ASSERT_TRUE(client.value().Ping().ok()) << "cycle " << cycle;
+  }  // each client closes its socket here
+
+  // Readers see the EOF asynchronously; give them time to reap.
+  constexpr int kSlack = 8;
+  int after = OpenFdCount();
+  for (int waited_ms = 0; after > before + kSlack && waited_ms < 5000;
+       waited_ms += 10) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    after = OpenFdCount();
+  }
+  EXPECT_LE(after, before + kSlack);
+
+  Result<RpcClient> fresh = RpcClient::Connect(fx.server->port());
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_TRUE(fresh.value().Ping().ok());
 }
 
 }  // namespace
