@@ -13,10 +13,13 @@
 // --threads=T re-runs each variant-4 point with a T-worker pool next to
 // the 1-thread run (identical step/message counts — the engines are
 // thread-count invariant — so the columns isolate pure wall-clock);
+// --gclr_n=N1,N2,... replaces the variant-4 sizes (e.g. --gclr_n=800,2000
+// for the merge-kernel before/after points);
 // --out_dir=PATH redirects the CSV/JSON output (default ./dgt_results,
 // or $DGT_OUT_DIR). Each point also lands in BENCH_fig3_steps_vs_n.json.
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 
@@ -33,6 +36,7 @@ int main(int argc, char** argv) {
   bool smoke = false, large = false;
   bool threads_given = false;
   uint32_t threads = 1;
+  std::vector<uint32_t> gclr_n;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--large") == 0) large = true;
@@ -44,6 +48,18 @@ int main(int argc, char** argv) {
       }
       threads = static_cast<uint32_t>(v);
       threads_given = true;
+    }
+    if (std::strncmp(argv[i], "--gclr_n=", 9) == 0) {
+      for (const char* p = argv[i] + 9; *p != '\0';) {
+        char* end = nullptr;
+        const long v = std::strtol(p, &end, 10);
+        if (end == p || v < 2 || v > 100000 || (*end != ',' && *end != '\0')) {
+          std::cerr << "--gclr_n takes sizes in [2, 100000], comma-separated\n";
+          return 1;
+        }
+        gclr_n.push_back(static_cast<uint32_t>(v));
+        p = *end == ',' ? end + 1 : end;
+      }
     }
   }
 
@@ -107,6 +123,7 @@ int main(int argc, char** argv) {
   std::vector<uint32_t> gclr_sizes = {500, 1000, 2000, 5000};
   if (smoke) gclr_sizes = {200};
   if (large) gclr_sizes.push_back(10000);
+  if (!gclr_n.empty()) gclr_sizes = gclr_n;
   // Thread points per size: always the 1-thread reference; with
   // --threads=T also the T-thread run. Smoke without an explicit
   // --threads defaults to T=2 so CI keeps the threaded path exercised

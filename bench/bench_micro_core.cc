@@ -5,11 +5,17 @@
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "baselines/eigen_trust.h"
 #include "bench_util.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "gossip/scalar_engine.h"
 #include "gossip/sparse_vector_engine.h"
+#include "gossip/sync_push_sum.h"
 #include "graph/graph_stats.h"
 #include "graph/pa_generator.h"
 #include "reputation/aggregation.h"
@@ -119,6 +125,65 @@ BENCHMARK(BM_SparseVectorGossipStep)
     ->Args({10000, 8})
     ->Args({100000, 1})
     ->Args({100000, 8});
+
+// A converged variant-4 state at N nodes (GCLR of all pairs over sparse
+// trust, xi = 1e-3): every row holds all N columns. Built once per N.
+const std::vector<SparseVectorRow>& ConvergedGclrState(uint32_t n) {
+  static std::map<uint32_t, std::vector<SparseVectorRow>> cache;
+  auto it = cache.find(n);
+  if (it != cache.end()) return it->second;
+  Graph g = bench_util::MustMakePaGraph(n, 2, 42);
+  TrustMatrix t = bench_util::MakeSparseTrust(n, 20, 11);
+  GossipOptions o;
+  o.xi = 1e-3;
+  o.seed = 3;
+  ThreadPool pool(4);
+  auto r = SyncPushSum<SparseVectorGossipPolicy>(&g, o).Run(
+      BuildGclrSparseInit(t), /*use_count=*/true, pool);
+  return cache.emplace(n, std::move(r.value().values)).first->second;
+}
+
+void BM_SparseFoldFullRows(benchmark::State& state) {
+  // One step seeded with a converged variant-4 state, isolated via a
+  // max_steps = 1 run: every inbox is all full rows, so this times the
+  // sparse fold's full-row path (BM_SparseVectorGossipStep's first,
+  // sparse step never reaches it). Items are merged nonzeros, so the
+  // rate reads as time per nonzero. The per-iteration copy of the state
+  // is excluded; the run's O(nonzeros) input validation is included.
+  const uint32_t n = static_cast<uint32_t>(state.range(0));
+  Graph g = bench_util::MustMakePaGraph(n, 2, 42);
+  const std::vector<SparseVectorRow>& converged = ConvergedGclrState(n);
+  GossipOptions o;
+  o.xi = 1e-3;
+  o.max_steps = 1;
+  o.num_threads = static_cast<uint32_t>(state.range(1));
+  ThreadPool pool(o.num_threads);
+  SyncPushSum<SparseVectorGossipPolicy> engine(&g, o);
+  uint64_t merged = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<SparseVectorRow> init = converged;
+    state.ResumeTiming();
+    auto r = engine.Run(std::move(init), /*use_count=*/true, pool);
+    state.PauseTiming();
+    benchmark::DoNotOptimize(r);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      break;
+    }
+    for (const SparseVectorRow& row : r->values) merged += row.nnz();
+    std::vector<SparseVectorRow>().swap(r->values);  // free, untimed
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(merged));
+}
+BENCHMARK(BM_SparseFoldFullRows)
+    ->Args({800, 1})
+    ->Args({800, 4})
+    ->Args({2000, 1})
+    ->Args({2000, 4})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_SparseGclrVector(benchmark::State& state) {
   // Full variant-4 aggregation through the sparse engine.

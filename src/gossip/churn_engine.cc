@@ -33,12 +33,11 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
   if (y0.size() != n0 || g0.size() != n0) {
     return Status::InvalidArgument("y0/g0 must match the initial graph");
   }
-  for (double g : g0) {
-    if (g < 0.0) return Status::InvalidArgument("gossip weights must be >= 0");
+  for (NodeId u = 0; u < n0; ++u) {
+    DGT_RETURN_IF_ERROR(
+        ScalarGossipPolicy::Validate({y0[u], g0[u], 0.0}, n0, false));
   }
-  if (gossip_.xi <= 0.0) {
-    return Status::InvalidArgument("xi must be positive");
-  }
+  DGT_RETURN_IF_ERROR(ValidateXi(gossip_.xi));
   if (churn_.leave_prob < 0.0 || churn_.leave_prob >= 1.0) {
     return Status::InvalidArgument("leave_prob must lie in [0, 1)");
   }
@@ -212,7 +211,8 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
     pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
         if (inactive[i]) continue;
-        fold.Fold(static_cast<NodeId>(i), plan, mass, next[i]);
+        fold.Fold(static_cast<NodeId>(i), plan, mass, next[i],
+                  kSkipConvergenceTest);
       }
     });
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 namespace dgt {
 
@@ -19,10 +20,24 @@ struct MergeCursor {
 
 constexpr uint32_t kNoColumn = std::numeric_limits<uint32_t>::max();
 
-Status CheckWeights(const std::vector<double>& g) {
-  for (double w : g) {
-    if (w < 0.0) return Status::InvalidArgument("gossip weights must be >= 0");
+// A NaN or infinite entry can never settle, so a run fed one would spin
+// to max_steps; every policy's Validate rejects it up front.
+bool IsFiniteValue(double v) { return std::isfinite(v); }
+bool IsWeight(double w) { return std::isfinite(w) && w >= 0.0; }
+
+Status BadValues() { return Status::InvalidArgument("values must be finite"); }
+Status BadWeights() {
+  return Status::InvalidArgument("gossip weights must be finite and >= 0");
+}
+
+// Validates parallel y/g/c channels (c may be empty).
+Status CheckChannels(const std::vector<double>& y, const std::vector<double>& g,
+                     const std::vector<double>& c) {
+  if (!std::all_of(y.begin(), y.end(), IsFiniteValue) ||
+      !std::all_of(c.begin(), c.end(), IsFiniteValue)) {
+    return BadValues();
   }
+  if (!std::all_of(g.begin(), g.end(), IsWeight)) return BadWeights();
   return Status::OK();
 }
 
@@ -38,11 +53,19 @@ std::vector<double> ColumnRatios(const std::vector<double>& num,
   return r;
 }
 
+Status ValidateXi(double xi) {
+  if (!std::isfinite(xi) || xi <= 0.0) {
+    return Status::InvalidArgument("xi must be positive and finite");
+  }
+  return Status::OK();
+}
+
 // --- Scalar ------------------------------------------------------------
 
 Status ScalarGossipPolicy::Validate(const Value& v, uint32_t /*n*/,
                                     bool /*use_count*/) {
-  if (v.g < 0.0) return Status::InvalidArgument("gossip weights must be >= 0");
+  if (!IsFiniteValue(v.y) || !IsFiniteValue(v.c)) return BadValues();
+  if (!IsWeight(v.g)) return BadWeights();
   return Status::OK();
 }
 
@@ -52,7 +75,8 @@ double ScalarGossipPolicy::Distance(const Snapshot& a, const Snapshot& b) {
 
 FoldOutcome ScalarGossipPolicy::SyncFold::Fold(NodeId i, const StepPlan& plan,
                                                const std::vector<Value>& state,
-                                               Value& next) const {
+                                               Value& next,
+                                               double /*threshold*/) const {
   double acc_y = 0.0, acc_g = 0.0, acc_c = 0.0;
   for (const PlanEntry& e : plan.inbox[i]) {
     const double denom = static_cast<double>(plan.k_used[e.sender]) + 1.0;
@@ -93,12 +117,12 @@ Status DenseVectorGossipPolicy::Validate(const Value& v, uint32_t n,
     return Status::InvalidArgument(
         "dense rows must have num_nodes columns (count channel iff used)");
   }
-  return CheckWeights(v.g);
+  return CheckChannels(v.y, v.g, v.c);
 }
 
 FoldOutcome DenseVectorGossipPolicy::SyncFold::Fold(
     NodeId i, const StepPlan& plan, const std::vector<Value>& state,
-    Value& next) const {
+    Value& next, double /*threshold*/) const {
   const size_t n = state[i].y.size();
   next.y.assign(n, 0.0);
   next.g.assign(n, 0.0);
@@ -190,7 +214,7 @@ Status SparseVectorGossipPolicy::Validate(const Value& v, uint32_t n,
       return Status::InvalidArgument("columns must be strictly increasing");
     }
   }
-  return CheckWeights(v.g);
+  return CheckChannels(v.y, v.g, v.c);
 }
 
 namespace {
@@ -296,9 +320,11 @@ double SparseVectorGossipPolicy::Distance(const Snapshot& a,
 SparseVectorGossipPolicy::SyncFold::SyncFold(const std::vector<Value>& init,
                                              bool use_count, double sentinel)
     : SyncFoldBase(init, use_count, sentinel),
+      all_cols_(init.size()),
       refs_(init.size()),
       replay_refs_(init.size(), 0),
       prev_nnz_(init.size(), 0) {
+  std::iota(all_cols_.begin(), all_cols_.end(), 0u);
   for (const SparseVectorRow& row : init) total_nnz_ += row.nnz();
   peak_nnz_ = total_nnz_;
 }
@@ -323,15 +349,141 @@ void SparseVectorGossipPolicy::SyncFold::BeginStep(
 FoldOutcome SparseVectorGossipPolicy::SyncFold::Fold(NodeId i,
                                                      const StepPlan& plan,
                                                      std::vector<Value>& state,
-                                                     Value& next) {
+                                                     Value& next,
+                                                     double threshold) {
   assert(!plan.inbox[i].empty());
   assert(next.nnz() == 0);
+  // Previous-step rows are read-only here and released by whichever
+  // merge consumes the last reference.
+  const auto& inbox = plan.inbox[i];
+  const size_t n = all_cols_.size();
+  const bool all_full =
+      std::all_of(inbox.begin(), inbox.end(), [&](const PlanEntry& e) {
+        return state[e.sender].nnz() == n;
+      });
+  const FoldOutcome out = all_full
+                              ? FoldFullRows(i, plan, state, next, threshold)
+                              : FoldKWay(i, plan, state, next);
+
+  // Release previous-step rows whose last consumer was this merge
+  // (acq_rel: the release must observe every consumer's reads).
+  for (const PlanEntry& e : inbox) {
+    if (refs_[e.sender].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      state[e.sender] = SparseVectorRow();
+    }
+  }
+  return out;
+}
+
+FoldOutcome SparseVectorGossipPolicy::SyncFold::FoldFullRows(
+    NodeId i, const StepPlan& plan, const std::vector<Value>& state,
+    Value& next, double threshold) const {
+  const bool use_count = use_count_;
+  const double sentinel = sentinel_;
+  const size_t n = all_cols_.size();
+  // Every source row holds columns 0..n-1, so column j is index j
+  // everywhere. Per column, the first entry gives 0.0 + product and each
+  // later one adds its product, in inbox order: the k-way walk's exact
+  // operation sequence.
+  const std::vector<PlanEntry>& inbox = plan.inbox[i];
+  double* y = nullptr;
+  double* g = nullptr;
+  double* c = nullptr;
+  const SparseVectorRow* old = nullptr;  // i's own previous row
+  for (size_t k = 0; k < inbox.size(); ++k) {
+    const PlanEntry& e = inbox[k];
+    const double inv = 1.0 / (static_cast<double>(plan.k_used[e.sender]) + 1.0);
+    const double scale = static_cast<double>(e.shares) * inv;
+    const SparseVectorRow& src = state[e.sender];
+    if (e.sender == i) old = &src;
+    if (k == 0) {
+      // Copied in and scaled in place: the row is sized once, with no
+      // zero fill.
+      next.y.assign(src.y.begin(), src.y.end());
+      next.g.assign(src.g.begin(), src.g.end());
+      if (use_count) next.c.assign(src.c.begin(), src.c.end());
+      y = next.y.data();
+      g = next.g.data();
+      c = next.c.data();
+      for (size_t j = 0; j < n; ++j) {
+        y[j] = 0.0 + y[j] * scale;
+        g[j] = 0.0 + g[j] * scale;
+      }
+      if (use_count) {
+        for (size_t j = 0; j < n; ++j) c[j] = 0.0 + c[j] * scale;
+      }
+      continue;
+    }
+    const double* sy = src.y.data();
+    const double* sg = src.g.data();
+    for (size_t j = 0; j < n; ++j) {
+      y[j] += sy[j] * scale;
+      g[j] += sg[j] * scale;
+    }
+    if (use_count) {
+      const double* sc = src.c.data();
+      for (size_t j = 0; j < n; ++j) c[j] += sc[j] * scale;
+    }
+  }
+
+  // eq. (7) by index, in the k-way walk's order (ratio term, then count
+  // term). Its terms are >= 0, so once the running sum exceeds the
+  // threshold the comparison is decided and the rest can be skipped. The
+  // walk also counts weightless columns; a scan finishes the count past
+  // an early stop.
+  size_t zero_g = 0;
+  double change = 0.0;
+  size_t j = 0;
+  for (; j < n && !(change > threshold); ++j) {
+    const bool has = g[j] != 0.0;
+    const bool had = old != nullptr && old->g[j] != 0.0;
+    zero_g += has ? 0 : 1;
+    const double r = has ? y[j] / g[j] : sentinel;
+    const double prev = had ? old->y[j] / old->g[j] : sentinel;
+    change += std::fabs(r - prev);
+    if (use_count) {
+      const double rc = has ? c[j] / g[j] : sentinel;
+      const double prev_c = had ? old->c[j] / old->g[j] : sentinel;
+      change += std::fabs(rc - prev_c);
+    }
+  }
+  for (; j < n; ++j) zero_g += g[j] == 0.0 ? 1 : 0;
+  FoldOutcome out;
+  out.change = change;
+  out.has_weight = zero_g < n;
+
+  next.cols = all_cols_;
+  // A column comes out exact zero on every channel only where its g
+  // vanished (in variant 4 only through underflow); drop such columns as
+  // the k-way walk does. The zero-g count keeps the common case to the one
+  // pass above.
+  if (zero_g > 0) {
+    size_t kept = 0;
+    for (size_t col = 0; col < n; ++col) {
+      if (y[col] == 0.0 && g[col] == 0.0 && (!use_count || c[col] == 0.0)) {
+        continue;
+      }
+      next.cols[kept] = next.cols[col];
+      y[kept] = y[col];
+      g[kept] = g[col];
+      if (use_count) c[kept] = c[col];
+      ++kept;
+    }
+    next.cols.resize(kept);
+    next.y.resize(kept);
+    next.g.resize(kept);
+    if (use_count) next.c.resize(kept);
+  }
+  return out;
+}
+
+FoldOutcome SparseVectorGossipPolicy::SyncFold::FoldKWay(
+    NodeId i, const StepPlan& plan, const std::vector<Value>& state,
+    Value& next) const {
   // Hoisted out of the merge loop: the row writes below could alias the
   // members as far as the compiler knows.
   const bool use_count = use_count_;
   const double sentinel = sentinel_;
-  // Previous-step rows are read-only here and released by whichever
-  // merge consumes the last reference.
   std::vector<MergeCursor> cursors;
   cursors.reserve(plan.inbox[i].size());
   for (const PlanEntry& e : plan.inbox[i]) {
@@ -384,14 +536,6 @@ FoldOutcome SparseVectorGossipPolicy::SyncFold::Fold(NodeId i,
       merged.y.push_back(ay);
       merged.g.push_back(ag);
       if (use_count) merged.c.push_back(ac);
-    }
-  }
-
-  // Release previous-step rows whose last consumer was this merge
-  // (acq_rel: the release must observe every consumer's reads).
-  for (const PlanEntry& e : plan.inbox[i]) {
-    if (refs_[e.sender].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      state[e.sender] = SparseVectorRow();
     }
   }
   return out;

@@ -9,8 +9,9 @@
 // Shared:
 //   Value     — node-resident mass; moved/mutated only by its owner node.
 //   Validate(v, n, use_count) — shape of an initial value for n nodes
-//                            (count channel present iff use_count) and
-//                            non-negative gossip weights.
+//                            (count channel present iff use_count),
+//                            finite channels and non-negative gossip
+//                            weights.
 //   ConvergenceThreshold(n, xi) — xi for scalar, n * xi for vectors.
 //
 // Event-driven interface (all static, stateless):
@@ -30,12 +31,15 @@
 //
 // Synchronous interface: a per-run SyncFold, constructed from
 // (initial state, use_count, ratio sentinel), with
-//   Fold(i, plan, state, next) — fold receiver i's contribution list
-//       (plan.inbox[i], ascending senders; each entry carries `shares`
-//       1/(k_sender + 1)-shares of the sender's state) into `next`, and
-//       return the eq. (7) change against i's own previous state plus
-//       whether any gossip weight arrived. Runs concurrently for distinct
-//       receivers; it may only write `next` and rows it alone releases.
+//   Fold(i, plan, state, next, threshold) — fold receiver i's
+//       contribution list (plan.inbox[i], ascending senders; each entry
+//       carries `shares` 1/(k_sender + 1)-shares of the sender's state)
+//       into `next`, and return the eq. (7) change against i's own
+//       previous state plus whether any gossip weight arrived. The change
+//       is compared against `threshold` and may stop short once the
+//       comparison is decided (see FoldOutcome). Runs concurrently for
+//       distinct receivers; it may only write `next` and rows it alone
+//       releases.
 //   BeginStep(plan, stopped, state), EndStep(plan, stopped, next),
 //   peak_state_nonzeros() — per-step bookkeeping around the folds; no-ops
 //       except for the sparse policy's ref-counted row release.
@@ -47,6 +51,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,10 +61,20 @@
 
 namespace dgt {
 
+// Fold threshold for a receiver whose convergence test result is
+// discarded (it has already announced): every change lies above it, so a
+// fold may skip the test altogether.
+inline constexpr double kSkipConvergenceTest =
+    -std::numeric_limits<double>::infinity();
+
 // One receiver's synchronous fold result.
 struct FoldOutcome {
   // Convergence metric against the node's previous state: |ratio change|
   // (plus the count ratio's) for scalars, eq. (7)'s L1 sum for vectors.
+  // Only its side of the threshold passed to Fold is guaranteed: the
+  // sum's terms are >= 0, so a fold may return a partial sum once that
+  // already exceeds the threshold (`change <= threshold` then reads false,
+  // exactly as for the full sum). At or below the threshold it is exact.
   double change = 0.0;
   // Any gossip weight in the folded state (a weightless node parks at the
   // sentinel, which is trivially stable and carries no evidence).
@@ -126,12 +141,13 @@ struct ScalarGossipPolicy {
 
   // Shares are y/(k+1) per entry; a kept-self entry carrying several
   // shares (bounced pushes) accumulates by repeated adds, not a multiply —
-  // the historical serial engine's order.
+  // the historical serial engine's order. The threshold is ignored.
   class SyncFold : public SyncFoldBase {
    public:
     using SyncFoldBase::SyncFoldBase;
     FoldOutcome Fold(NodeId i, const StepPlan& plan,
-                     const std::vector<Value>& state, Value& next) const;
+                     const std::vector<Value>& state, Value& next,
+                     double threshold) const;
   };
 };
 
@@ -166,12 +182,14 @@ struct DenseVectorGossipPolicy {
   }
 
   // Every entry adds sender_row * (shares / (k + 1)) over all N columns;
-  // the L1 test then walks the columns in order.
+  // the L1 test then walks the columns in order. The threshold is
+  // ignored: the change is always the full sum.
   class SyncFold : public SyncFoldBase {
    public:
     using SyncFoldBase::SyncFoldBase;
     FoldOutcome Fold(NodeId i, const StepPlan& plan,
-                     const std::vector<Value>& state, Value& next) const;
+                     const std::vector<Value>& state, Value& next,
+                     double threshold) const;
   };
 };
 
@@ -220,12 +238,24 @@ struct SparseVectorGossipPolicy {
     return static_cast<double>(n) * xi;
   }
 
-  // Merge-on-receive: a k-way sorted-column walk over the receiver's
-  // contribution list, so the cost follows the nonzeros contributed, not
-  // N, and no dense inbox is ever materialised. Contributions combine in
-  // ascending-sender order per column, and columns outside the merged set
-  // contribute exact zeros (sentinel minus sentinel) to eq. (7), so the
-  // result is bit-for-bit the dense fold's.
+  // Merge-on-receive, two paths chosen by the inbox's structure:
+  //  - k-way: a sorted-column walk over the receiver's contribution list,
+  //    so the cost follows the nonzeros contributed, not N, and no dense
+  //    inbox is ever materialised. Contributions combine in
+  //    ascending-sender order per column, and columns outside the merged
+  //    set contribute exact zeros (sentinel minus sentinel) to eq. (7), so
+  //    the result is bit-for-bit the dense fold's.
+  //  - full-row: when every contributing row holds all N columns (variant
+  //    4 once mass has mixed: the state fills to ~N^2 nonzeros), column j
+  //    sits at index j of every row, so the fold accumulates whole rows by
+  //    index — 0.0 + first product, then += each later product in inbox
+  //    order, the k-way walk's exact per-column operation sequence — and
+  //    walks eq. (7) by index, stopping once the running sum exceeds the
+  //    threshold. Columns that come out exact zero on every channel (in
+  //    variant 4 only through underflow) are compacted out as the k-way
+  //    walk drops them, so rows, nnz and the peak count stay identical.
+  // tests/gossip/sparse_fold_paths_test.cc checks the paths against each
+  // other bit for bit.
   //
   // Previous-step rows are reference-counted and released as soon as
   // their last consumer merged (the count is atomic: under a threaded
@@ -237,7 +267,8 @@ struct SparseVectorGossipPolicy {
     void BeginStep(const StepPlan& plan, const std::vector<uint8_t>& stopped,
                    const std::vector<Value>& state);
     FoldOutcome Fold(NodeId i, const StepPlan& plan,
-                     std::vector<Value>& state, Value& next);
+                     std::vector<Value>& state, Value& next,
+                     double threshold);
     void EndStep(const StepPlan& plan, const std::vector<uint8_t>& stopped,
                  const std::vector<Value>& next);
     // Peak sum of per-row nonzeros across all steps — the working-set size
@@ -245,6 +276,14 @@ struct SparseVectorGossipPolicy {
     uint64_t peak_state_nonzeros() const { return peak_nnz_; }
 
    private:
+    FoldOutcome FoldFullRows(NodeId i, const StepPlan& plan,
+                             const std::vector<Value>& state, Value& next,
+                             double threshold) const;
+    FoldOutcome FoldKWay(NodeId i, const StepPlan& plan,
+                         const std::vector<Value>& state, Value& next) const;
+
+    // 0..N-1: the `cols` of a full row.
+    std::vector<uint32_t> all_cols_;
     std::vector<std::atomic<uint32_t>> refs_;
     // Serial-replay bookkeeping for peak_nnz_ (see EndStep).
     std::vector<uint32_t> replay_refs_;
@@ -253,6 +292,10 @@ struct SparseVectorGossipPolicy {
     uint64_t peak_nnz_ = 0;
   };
 };
+
+// Checks the convergence tolerance: positive and finite. Shared by every
+// gossip executor.
+Status ValidateXi(double xi);
 
 // Checks a run's initial state: one value per node, each passing
 // Policy::Validate. Shared by the synchronous and event-driven executors.

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "gossip/gossip_state.h"
+
 namespace dgt {
 
 Result<PushPullResult> RunPushPullAveraging(const Graph& graph,
@@ -12,9 +14,7 @@ Result<PushPullResult> RunPushPullAveraging(const Graph& graph,
   if (v0.size() != n) {
     return Status::InvalidArgument("v0 must have num_nodes entries");
   }
-  if (options.xi <= 0.0) {
-    return Status::InvalidArgument("xi must be positive");
-  }
+  DGT_RETURN_IF_ERROR(ValidateXi(options.xi));
 
   PushPullResult res;
   res.values = v0;

@@ -62,8 +62,9 @@ class SparseVectorPushSum {
   // `init` holds one row per node (exactly num_nodes rows). Each row's
   // cols must be strictly increasing and in [0, num_nodes); y/g must be
   // parallel to cols, and c must be parallel when `use_count` is true and
-  // empty otherwise, and gossip weights must be >= 0. Fails with
-  // InvalidArgument on any violation or on xi <= 0.
+  // empty otherwise, every entry must be finite, and gossip weights must
+  // be >= 0. Fails with InvalidArgument on any violation or on an xi that
+  // is not positive and finite.
   Result<SparseVectorGossipResult> Run(std::vector<SparseVectorRow> init,
                                        bool use_count);
 

@@ -74,15 +74,14 @@ class SyncPushSum {
   // Runs to convergence (or options.max_steps) on `pool`. `init` holds
   // one value per node, each passing Policy::Validate; `use_count` says
   // whether the count channel is carried. Fails with InvalidArgument on a
-  // malformed value, a negative gossip weight, or xi <= 0.
+  // malformed or non-finite value, a negative gossip weight, or an xi
+  // that is not positive and finite.
   Result<SyncPushSumResult<Policy>> Run(
       std::vector<Value> init, bool use_count, ThreadPool& pool,
       const StepObserver& on_step = nullptr) const {
     const uint32_t n = graph_->num_nodes();
     DGT_RETURN_IF_ERROR(ValidateInitialState<Policy>(init, n, use_count));
-    if (options_.xi <= 0.0) {
-      return Status::InvalidArgument("xi must be positive");
-    }
+    DGT_RETURN_IF_ERROR(ValidateXi(options_.xi));
 
     Rng rng(options_.seed);
     typename Policy::SyncFold fold(init, use_count, options_.ratio_sentinel);
@@ -148,7 +147,11 @@ class SyncPushSum {
           if (stopped[i]) continue;
           ++node_active_steps[i];
           node_sent[i] += plan.k_used[i];
-          const FoldOutcome f = fold.Fold(i, plan, state, next[i]);
+          // A converged node's test result is discarded, so its fold
+          // may skip the test.
+          const FoldOutcome f =
+              fold.Fold(i, plan, state, next[i],
+                        converged[i] ? kSkipConvergenceTest : threshold);
           if (converged[i]) continue;
           if (plan.senders[i] >= 1 && f.has_weight) {
             streak[i] = f.change <= threshold ? streak[i] + 1 : 0;

@@ -43,7 +43,8 @@ class VectorPushSum {
 
   // y0/g0 (and c0 if nonempty) are N x N row-major matrices: row i is node
   // i's initial vector. Fails with InvalidArgument on dimension mismatch,
-  // a negative gossip weight, or xi <= 0.
+  // a non-finite entry, a negative gossip weight, or an xi that is not
+  // positive and finite.
   Result<VectorGossipResult> Run(const std::vector<std::vector<double>>& y0,
                                  const std::vector<std::vector<double>>& g0,
                                  const std::vector<std::vector<double>>& c0 =

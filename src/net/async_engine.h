@@ -44,6 +44,7 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "gossip/gossip_state.h"
 #include "gossip/options.h"
 #include "gossip/step_plan.h"
 #include "graph/graph.h"
@@ -114,10 +115,11 @@ class AsyncEventEngine {
     if (init.size() != n) {
       return Status::InvalidArgument("init must have num_nodes entries");
     }
-    if (options_.xi <= 0.0 || options_.push_period <= 0.0) {
-      return Status::InvalidArgument("xi and push_period must be positive");
+    DGT_RETURN_IF_ERROR(ValidateXi(options_.xi));
+    if (!std::isfinite(options_.push_period) || options_.push_period <= 0.0) {
+      return Status::InvalidArgument("push_period must be positive and finite");
     }
-    if (options_.period_jitter < 0.0 || options_.period_jitter >= 1.0) {
+    if (!(options_.period_jitter >= 0.0 && options_.period_jitter < 1.0)) {
       return Status::InvalidArgument("period_jitter must lie in [0, 1)");
     }
     DGT_ASSIGN_OR_RETURN(LinkModel links,
