@@ -1,15 +1,19 @@
 // Event-driven engine throughput and determinism: GCLR variant 4 (sparse
-// vector state) over the asynchronous link-model engine at T ∈ {1, 8}
-// worker threads. The engine is bit-for-bit thread-count invariant, so
-// every count column (events, gossip/control messages, max firings) and
-// the convergence sim-time must be IDENTICAL across the threads rows of
-// one configuration — CI gates them against a committed baseline
-// (ci/bench_baselines/BENCH_async_events.json) where only wall-clock and
-// the derived events/s rate are advisory.
+// vector state) over the asynchronous link-model engine, by default at
+// T ∈ {1, 8} worker threads. The engine is bit-for-bit thread-count
+// invariant, so every count column (events, gossip/control messages, max
+// firings, lookahead windows) and the convergence sim-time must be
+// IDENTICAL across the threads rows of one configuration — CI gates them
+// against a committed baseline (ci/bench_baselines/BENCH_async_events.json)
+// where only wall-clock, the derived events/s rate and events per window
+// are advisory. Events per window is the work one thread-pool hand-off
+// buys.
 //
-// Flags: --smoke trims to the CI configuration; --out_dir=PATH redirects
+// Flags: --smoke trims to the CI configuration; --threads=T[,T...]
+// replaces the thread points (each in [1, 64]); --out_dir=PATH redirects
 // CSV/JSON output (default ./dgt_results, or $DGT_OUT_DIR).
 
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -21,20 +25,38 @@ int main(int argc, char** argv) {
   using namespace dgt;
   bench_util::InitOutputDir(argc, argv);
   bool smoke = false;
+  std::vector<uint32_t> thread_points = {1, 8};
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
+      thread_points.clear();
+      for (const char* p = argv[i] + 10; *p != '\0';) {
+        char* end = nullptr;
+        const long v = std::strtol(p, &end, 10);
+        if (end == p || v < 1 || v > 64 || (*end != ',' && *end != '\0')) {
+          std::cerr << "--threads takes counts in [1, 64], comma-separated\n";
+          return 1;
+        }
+        thread_points.push_back(static_cast<uint32_t>(v));
+        p = *end == ',' ? end + 1 : end;
+      }
+      if (thread_points.empty()) {
+        std::cerr << "--threads needs at least one count\n";
+        return 1;
+      }
+    }
   }
 
   std::vector<uint32_t> sizes = {200, 500, 1000};
   if (smoke) sizes = {200};
-  const std::vector<uint32_t> thread_points = {1, 8};
 
   bench_util::BenchJsonWriter json("async_events");
   TableWriter table(
-      "== Async event engine: GCLR variant 4, event-driven, T in {1, 8} "
+      "== Async event engine: GCLR variant 4, event-driven, by worker count "
       "==");
-  table.SetHeader({"N", "threads", "events", "gossip msgs", "control msgs",
-                   "sim time", "events/s", "wall ms"});
+  table.SetHeader({"N", "threads", "events", "windows", "events/window",
+                   "gossip msgs", "control msgs", "sim time", "events/s",
+                   "wall ms"});
 
   for (uint32_t n : sizes) {
     Graph g = bench_util::MustMakePaGraph(n, 2, 42);
@@ -54,12 +76,17 @@ int main(int argc, char** argv) {
       const double events_per_sec =
           ms > 0.0 ? static_cast<double>(r->stats.events) / (ms / 1000.0)
                    : 0.0;
+      const double events_per_window =
+          static_cast<double>(r->stats.events) /
+          static_cast<double>(r->stats.windows);
       if (!r->stats.converged) {
         std::cerr << "async GCLR did not converge at n=" << n << "\n";
         return 1;
       }
       table.AddRow({std::to_string(n), std::to_string(threads),
                     std::to_string(r->stats.events),
+                    std::to_string(r->stats.windows),
+                    FormatDouble(events_per_window, 1),
                     std::to_string(r->stats.gossip_messages),
                     std::to_string(r->stats.control_messages),
                     FormatDouble(r->stats.sim_time, 2),
@@ -68,6 +95,8 @@ int main(int argc, char** argv) {
           {{"n", static_cast<double>(n)},
            {"threads", static_cast<double>(threads)},
            {"event_count", static_cast<double>(r->stats.events)},
+           {"window_count", static_cast<double>(r->stats.windows)},
+           {"events_per_window", events_per_window},
            {"gossip_messages", static_cast<double>(r->stats.gossip_messages)},
            {"control_messages",
             static_cast<double>(r->stats.control_messages)},

@@ -21,7 +21,8 @@ Field classes:
     error totals, end-of-run queue depth and fold counts are exact
     for the canned schedule.
   - advisory fields: names ending in "_ms" (wall-clock), "_per_sec"
-    (rates), "_mb" (memory), "_rms" (error metrics that go through
+    (rates), "_per_window" (ratios of two gated counts, reported for
+    reading), "_mb" (memory), "_rms" (error metrics that go through
     libm) or the latency-percentile suffixes "_p50_us" / "_p99_us" /
     "_p999_us" / "_mean_us" (bench_util.h LatencyRecorder) — reported
     with a ratio but never failing (CI machines are too noisy / libm too
@@ -48,7 +49,7 @@ METRIC_SUFFIXES = ("_steps", "_messages", "_nnz", "_queries", "_rounds",
                    # totals, end-of-run queue depths and fold counts
                    # are deterministic for the canned schedule.
                    "_errors", "_depth", "_folds")
-ADVISORY_SUFFIXES = ("_ms", "_per_sec", "_mb", "_rms",
+ADVISORY_SUFFIXES = ("_ms", "_per_sec", "_per_window", "_mb", "_rms",
                      "_p50_us", "_p99_us", "_p999_us", "_mean_us")
 
 

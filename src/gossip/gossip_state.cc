@@ -219,6 +219,35 @@ Status SparseVectorGossipPolicy::Validate(const Value& v, uint32_t n,
 
 namespace {
 
+// True when `row.cols` is exactly 0..nnz-1: columns are strictly
+// increasing, so the last one equals nnz - 1 only then. Two such rows of
+// equal length are index-aligned.
+bool IsFullRow(const SparseVectorRow& row) {
+  return !row.cols.empty() && row.cols.back() == row.cols.size() - 1;
+}
+
+// Drops the columns that are exact zero on every channel, as the sorted
+// merges never emit them, keeping the rest in order.
+void DropZeroColumns(SparseVectorRow& row) {
+  const bool use_count = !row.c.empty();
+  size_t kept = 0;
+  for (size_t k = 0; k < row.nnz(); ++k) {
+    if (row.y[k] == 0.0 && row.g[k] == 0.0 &&
+        (!use_count || row.c[k] == 0.0)) {
+      continue;
+    }
+    row.cols[kept] = row.cols[k];
+    row.y[kept] = row.y[k];
+    row.g[kept] = row.g[k];
+    if (use_count) row.c[kept] = row.c[k];
+    ++kept;
+  }
+  row.cols.resize(kept);
+  row.y.resize(kept);
+  row.g.resize(kept);
+  if (use_count) row.c.resize(kept);
+}
+
 // v + scale * row as a 2-way sorted-column merge (entries that cancel to
 // exact zero on every channel are dropped, keeping rows minimal).
 SparseVectorRow MergeScaled(const SparseVectorRow& v,
@@ -265,12 +294,58 @@ SparseVectorGossipPolicy::Share SparseVectorGossipPolicy::Split(Value& v,
   auto snap = std::make_shared<const SparseVectorRow>(std::move(v));
   // The kept share: the same immutable snapshot scaled down, materialised
   // as the node's new resident row.
-  v = MergeScaled(SparseVectorRow(), *snap, inv);
+  if (!IsFullRow(*snap)) {
+    v = MergeScaled(SparseVectorRow(), *snap, inv);
+    return Share{std::move(snap), inv};
+  }
+  // Full row: by index, 0.0 + product per column, MergeScaled's exact
+  // operation sequence against an empty row.
+  const size_t m = snap->nnz();
+  const bool use_count = !snap->c.empty();
+  v.cols = snap->cols;
+  v.y.resize(m);
+  v.g.resize(m);
+  v.c.resize(use_count ? m : 0);
+  size_t zero_g = 0;
+  for (size_t j = 0; j < m; ++j) {
+    v.y[j] = 0.0 + snap->y[j] * inv;
+    v.g[j] = 0.0 + snap->g[j] * inv;
+    zero_g += v.g[j] == 0.0 ? 1 : 0;
+  }
+  if (use_count) {
+    for (size_t j = 0; j < m; ++j) v.c[j] = 0.0 + snap->c[j] * inv;
+  }
+  if (zero_g > 0) DropZeroColumns(v);
   return Share{std::move(snap), inv};
 }
 
 void SparseVectorGossipPolicy::Absorb(Value& v, const Share& s) {
-  v = MergeScaled(v, *s.row, s.scale);
+  const SparseVectorRow& src = *s.row;
+  if (v.nnz() != src.nnz() || v.c.size() != src.c.size() || !IsFullRow(v) ||
+      !IsFullRow(src)) {
+    v = MergeScaled(v, src, s.scale);
+    return;
+  }
+  // Both rows hold columns 0..m-1: merge in place by index, in
+  // MergeScaled's exact per-column operation sequence (0.0, += resident,
+  // += product), so the bits match, signed zeros included.
+  const size_t m = v.nnz();
+  const double scale = s.scale;
+  double* y = v.y.data();
+  double* g = v.g.data();
+  size_t zero_g = 0;
+  for (size_t j = 0; j < m; ++j) {
+    y[j] = (0.0 + y[j]) + src.y[j] * scale;
+    g[j] = (0.0 + g[j]) + src.g[j] * scale;
+    zero_g += g[j] == 0.0 ? 1 : 0;
+  }
+  double* c = v.c.data();
+  for (size_t j = 0; j < v.c.size(); ++j) {
+    c[j] = (0.0 + c[j]) + src.c[j] * scale;
+  }
+  // A column can come out exact zero on every channel only where its g
+  // vanished (in variant 4 only through underflow).
+  if (zero_g > 0) DropZeroColumns(v);
 }
 
 bool SparseVectorGossipPolicy::HasWeight(const Value& v) {
@@ -457,23 +532,7 @@ FoldOutcome SparseVectorGossipPolicy::SyncFold::FoldFullRows(
   // vanished (in variant 4 only through underflow); drop such columns as
   // the k-way walk does. The zero-g count keeps the common case to the one
   // pass above.
-  if (zero_g > 0) {
-    size_t kept = 0;
-    for (size_t col = 0; col < n; ++col) {
-      if (y[col] == 0.0 && g[col] == 0.0 && (!use_count || c[col] == 0.0)) {
-        continue;
-      }
-      next.cols[kept] = next.cols[col];
-      y[kept] = y[col];
-      g[kept] = g[col];
-      if (use_count) c[kept] = c[col];
-      ++kept;
-    }
-    next.cols.resize(kept);
-    next.y.resize(kept);
-    next.g.resize(kept);
-    if (use_count) next.c.resize(kept);
-  }
+  if (zero_g > 0) DropZeroColumns(next);
   return out;
 }
 

@@ -226,6 +226,15 @@ struct SparseVectorGossipPolicy {
   };
 
   static Status Validate(const Value& v, uint32_t n, bool use_count);
+  // Split and Absorb have two paths, chosen by the rows' structure. A row
+  // whose cols are exactly 0..m-1 is *full* (columns are strictly
+  // increasing, so cols.back() == m - 1 says so in O(1)). Split of a full
+  // row scales it by index; Absorb of a full share into a full resident
+  // row of the same length merges in place by index. Every other shape
+  // takes a 2-way sorted-column merge into a fresh row. Both paths run
+  // the same per-column operations (0.0, += resident, += share * scale)
+  // and drop columns that come out exact zero on every channel, so they
+  // agree bit for bit; tests/gossip/sparse_absorb_paths_test.cc checks it.
   static Share Split(Value& v, uint32_t k);
   static void Absorb(Value& v, const Share& s);
   static bool HasWeight(const Value& v);

@@ -86,6 +86,10 @@ struct AsyncEngineStats {
   uint64_t gossip_messages = 0;
   uint64_t control_messages = 0;
   uint64_t events = 0;  // DES events processed
+  // Lookahead windows executed; a pure function of the event history, so
+  // identical at every thread count. With more than one worker each costs
+  // one thread-pool hand-off.
+  uint64_t windows = 0;
   // Firings of the slowest node until it stopped — comparable to the
   // synchronous engines' step count.
   uint32_t max_node_firings = 0;
@@ -253,12 +257,13 @@ class AsyncEventEngine {
       ++node[i].firings;
       Rng er = base.StreamAt(i, node[i].rng_counter++);
 
-      // Convergence evaluation at the node's own cadence.
-      typename Policy::Snapshot cur =
-          Policy::TakeSnapshot(node[i].value, sentinel);
-      bool evidence =
-          node[i].received >= 1 && Policy::HasWeight(node[i].value);
+      // Convergence evaluation at the node's own cadence. Once converged
+      // the node no longer compares estimates, so it takes no snapshot.
       if (!node[i].converged) {
+        typename Policy::Snapshot cur =
+            Policy::TakeSnapshot(node[i].value, sentinel);
+        const bool evidence =
+            node[i].received >= 1 && Policy::HasWeight(node[i].value);
         if (evidence) {
           node[i].idle_firings = 0;
           node[i].streak =
@@ -279,8 +284,8 @@ class AsyncEventEngine {
             announce_convergence(i, t, er, out);
           }
         }
+        node[i].prev = std::move(cur);
       }
-      node[i].prev = std::move(cur);
       node[i].received = 0;
 
       maybe_stop(i, t, out);
@@ -340,6 +345,7 @@ class AsyncEventEngine {
       std::vector<Item> window = heap.PopWindow(window_start + lookahead);
       assert(!window.empty());
       stats.events += window.size();
+      ++stats.windows;
       final_time = window.back().time;
 
       // Partition by owner, preserving (time, seq) order within a group,
