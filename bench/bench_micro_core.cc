@@ -185,6 +185,53 @@ BENCHMARK(BM_SparseFoldFullRows)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+void BM_AsyncConvergenceTest(benchmark::State& state) {
+  // One event-driven firing's convergence test on full rows with the count
+  // channel: the current row against the one the previous firing sent.
+  // near = 1 moves every ratio by about 1e-5 relative, so the sum stays
+  // under the threshold and the walk runs over every column; near = 0
+  // compares unrelated rows, so the walk stops at the first column that
+  // pushes the sum over. Items are columns.
+  const uint32_t n = static_cast<uint32_t>(state.range(0));
+  const bool near = state.range(1) != 0;
+  using Policy = SparseVectorGossipPolicy;
+  Rng rng(7);
+  auto random_row = [&] {
+    SparseVectorRow row;
+    for (uint32_t j = 0; j < n; ++j) {
+      row.cols.push_back(j);
+      row.y.push_back(rng.NextDouble(0.0, 2.0));
+      row.g.push_back(rng.NextDouble(0.01, 1.0));
+      row.c.push_back(rng.NextDouble(0.0, 3.0));
+    }
+    return row;
+  };
+  const SparseVectorRow prev = random_row();
+  SparseVectorRow cur = near ? prev : random_row();
+  if (near) {
+    for (uint32_t j = 0; j < n; ++j) {
+      cur.y[j] *= 1.0 + 1e-5 * rng.NextDouble(-1.0, 1.0);
+      cur.c[j] *= 1.0 + 1e-5 * rng.NextDouble(-1.0, 1.0);
+    }
+  }
+  const Policy::Share sent = Policy::Whole(prev);
+  const double sentinel = 10.0;
+  const double threshold = Policy::ConvergenceThreshold(n, 1e-3);
+  bool below = false;
+  for (auto _ : state) {
+    const double change = Policy::Change(sent, cur, sentinel, threshold);
+    benchmark::DoNotOptimize(change);
+    below = change <= threshold;
+  }
+  if (below != near) state.SkipWithError("unexpected convergence decision");
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_AsyncConvergenceTest)
+    ->Args({500, 1})
+    ->Args({500, 0})
+    ->Args({1000, 1})
+    ->Args({1000, 0});
+
 void BM_SparseGclrVector(benchmark::State& state) {
   // Full variant-4 aggregation through the sparse engine.
   const uint32_t n = static_cast<uint32_t>(state.range(0));

@@ -69,7 +69,7 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
   }
 
   auto ratio_of = [&](NodeId i) {
-    return ScalarGossipPolicy::TakeSnapshot(mass[i], gossip_.ratio_sentinel);
+    return ScalarGossipPolicy::Estimate(mass[i], gossip_.ratio_sentinel);
   };
   for (NodeId u = 0; u < n0; ++u) node[u].prev_ratio = ratio_of(u);
 
@@ -88,7 +88,8 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
       if (v != u && node[v].alive) heir = static_cast<NodeId>(v);
     }
     if (heir != u) {
-      ScalarGossipPolicy::Absorb(mass[heir], mass[u]);
+      ScalarGossipPolicy::Absorb(mass[heir],
+                                 ScalarGossipPolicy::Whole(mass[u]));
       ++res.control_messages;  // the handover message
     }
     // else: last node standing departs with its mass; nothing to do.

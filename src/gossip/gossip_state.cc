@@ -41,6 +41,11 @@ Status CheckChannels(const std::vector<double>& y, const std::vector<double>& g,
   return Status::OK();
 }
 
+// One column's ratio num / g, or `sentinel` where g == 0.
+double ColumnRatio(double num, double g, double sentinel) {
+  return g != 0.0 ? num / g : sentinel;
+}
+
 }  // namespace
 
 std::vector<double> ColumnRatios(const std::vector<double>& num,
@@ -48,7 +53,7 @@ std::vector<double> ColumnRatios(const std::vector<double>& num,
                                  double sentinel) {
   std::vector<double> r(num.size());
   for (size_t j = 0; j < num.size(); ++j) {
-    r[j] = g[j] != 0.0 ? num[j] / g[j] : sentinel;
+    r[j] = ColumnRatio(num[j], g[j], sentinel);
   }
   return r;
 }
@@ -67,10 +72,6 @@ Status ScalarGossipPolicy::Validate(const Value& v, uint32_t /*n*/,
   if (!IsFiniteValue(v.y) || !IsFiniteValue(v.c)) return BadValues();
   if (!IsWeight(v.g)) return BadWeights();
   return Status::OK();
-}
-
-double ScalarGossipPolicy::Distance(const Snapshot& a, const Snapshot& b) {
-  return std::fabs(a - b);
 }
 
 FoldOutcome ScalarGossipPolicy::SyncFold::Fold(NodeId i, const StepPlan& plan,
@@ -98,7 +99,7 @@ FoldOutcome ScalarGossipPolicy::SyncFold::Fold(NodeId i, const StepPlan& plan,
   FoldOutcome out;
   out.has_weight = acc_g != 0.0;
   double r = acc_g != 0.0 ? acc_y / acc_g : sentinel_;
-  out.change = std::fabs(r - TakeSnapshot(old, sentinel_));
+  out.change = std::fabs(r - Estimate(old, sentinel_));
   if (use_count_) {
     double rc = acc_g != 0.0 ? acc_c / acc_g : sentinel_;
     double prev_c = old.g != 0.0 ? old.c / old.g : sentinel_;
@@ -180,21 +181,25 @@ bool DenseVectorGossipPolicy::HasWeight(const Value& v) {
   return std::any_of(v.g.begin(), v.g.end(), [](double g) { return g != 0.0; });
 }
 
-DenseVectorGossipPolicy::Snapshot DenseVectorGossipPolicy::TakeSnapshot(
-    const Value& v, double sentinel) {
-  Snapshot snap;
-  snap.r = ColumnRatios(v.y, v.g, sentinel);
-  if (!v.c.empty()) snap.rc = ColumnRatios(v.c, v.g, sentinel);
-  return snap;
+DenseVectorGossipPolicy::Share DenseVectorGossipPolicy::Whole(const Value& v) {
+  return Share{std::make_shared<const DenseGossipData>(v), 1.0};
 }
 
-double DenseVectorGossipPolicy::Distance(const Snapshot& a,
-                                         const Snapshot& b) {
-  assert(a.r.size() == b.r.size());
+double DenseVectorGossipPolicy::Change(const Share& from, const Value& v,
+                                       double sentinel, double threshold) {
+  const DenseGossipData& a = *from.data;
+  assert(a.y.size() == v.y.size());
+  // Every term is >= 0: once the sum exceeds the threshold the comparison
+  // is decided.
   double l1 = 0.0;
-  for (size_t j = 0; j < a.r.size(); ++j) l1 += std::fabs(b.r[j] - a.r[j]);
-  for (size_t j = 0; j < a.rc.size() && j < b.rc.size(); ++j) {
-    l1 += std::fabs(b.rc[j] - a.rc[j]);
+  for (size_t j = 0; j < v.y.size() && !(l1 > threshold); ++j) {
+    l1 += std::fabs(ColumnRatio(v.y[j], v.g[j], sentinel) -
+                    ColumnRatio(a.y[j], a.g[j], sentinel));
+  }
+  const size_t nc = std::min(a.c.size(), v.c.size());
+  for (size_t j = 0; j < nc && !(l1 > threshold); ++j) {
+    l1 += std::fabs(ColumnRatio(v.c[j], v.g[j], sentinel) -
+                    ColumnRatio(a.c[j], a.g[j], sentinel));
   }
   return l1;
 }
@@ -352,42 +357,51 @@ bool SparseVectorGossipPolicy::HasWeight(const Value& v) {
   return std::any_of(v.g.begin(), v.g.end(), [](double g) { return g != 0.0; });
 }
 
-SparseVectorGossipPolicy::Snapshot SparseVectorGossipPolicy::TakeSnapshot(
-    const Value& v, double sentinel) {
-  Snapshot snap;
-  snap.sentinel = sentinel;
-  snap.cols = v.cols;
-  snap.r = ColumnRatios(v.y, v.g, sentinel);
-  if (!v.c.empty()) snap.rc = ColumnRatios(v.c, v.g, sentinel);
-  return snap;
+SparseVectorGossipPolicy::Share SparseVectorGossipPolicy::Whole(
+    const Value& v) {
+  return Share{std::make_shared<const SparseVectorRow>(v), 1.0};
 }
 
-double SparseVectorGossipPolicy::Distance(const Snapshot& a,
-                                          const Snapshot& b) {
-  // Two-pointer union walk; a column present on one side only means the
-  // other side sat at the sentinel when its snapshot was taken (both
-  // snapshots come from the same run, so the sentinels agree).
-  const double sentinel = b.sentinel;
-  const bool use_count = !a.rc.empty() || !b.rc.empty();
+double SparseVectorGossipPolicy::Change(const Share& from, const Value& v,
+                                        double sentinel, double threshold) {
+  // Every term is >= 0: once the sum exceeds the threshold the comparison
+  // is decided, so both walks stop there.
+  const SparseVectorRow& a = *from.row;
+  const bool use_count = !a.c.empty() || !v.c.empty();
   double l1 = 0.0;
+  if (a.nnz() == v.nnz() && a.c.size() == v.c.size() && IsFullRow(a) &&
+      IsFullRow(v)) {
+    // Both rows hold columns 0..m-1: column j is index j on both sides.
+    for (size_t j = 0; j < v.nnz() && !(l1 > threshold); ++j) {
+      l1 += std::fabs(ColumnRatio(v.y[j], v.g[j], sentinel) -
+                      ColumnRatio(a.y[j], a.g[j], sentinel));
+      if (use_count) {
+        l1 += std::fabs(ColumnRatio(v.c[j], v.g[j], sentinel) -
+                        ColumnRatio(a.c[j], a.g[j], sentinel));
+      }
+    }
+    return l1;
+  }
+  // Two-pointer union walk; a column absent on one side sits at the
+  // sentinel there, as does the count ratio of a row without the channel.
   size_t ia = 0, ib = 0;
-  while (ia < a.cols.size() || ib < b.cols.size()) {
-    uint32_t ca = ia < a.cols.size() ? a.cols[ia] : UINT32_MAX;
-    uint32_t cb = ib < b.cols.size() ? b.cols[ib] : UINT32_MAX;
+  while ((ia < a.nnz() || ib < v.nnz()) && !(l1 > threshold)) {
+    const uint32_t ca = ia < a.nnz() ? a.cols[ia] : kNoColumn;
+    const uint32_t cb = ib < v.nnz() ? v.cols[ib] : kNoColumn;
     double ra = sentinel, rb = sentinel;
     double rca = sentinel, rcb = sentinel;
     if (ca <= cb) {
-      ra = a.r[ia];
-      if (!a.rc.empty()) rca = a.rc[ia];
+      ra = ColumnRatio(a.y[ia], a.g[ia], sentinel);
+      if (!a.c.empty()) rca = ColumnRatio(a.c[ia], a.g[ia], sentinel);
+      ++ia;
     }
     if (cb <= ca) {
-      rb = b.r[ib];
-      if (!b.rc.empty()) rcb = b.rc[ib];
+      rb = ColumnRatio(v.y[ib], v.g[ib], sentinel);
+      if (!v.c.empty()) rcb = ColumnRatio(v.c[ib], v.g[ib], sentinel);
+      ++ib;
     }
     l1 += std::fabs(rb - ra);
     if (use_count) l1 += std::fabs(rcb - rca);
-    if (ca <= cb) ++ia;
-    if (cb <= ca) ++ib;
   }
   return l1;
 }

@@ -15,19 +15,28 @@
 //   ConvergenceThreshold(n, xi) — xi for scalar, n * xi for vectors.
 //
 // Event-driven interface (all static, stateless):
-//   Share     — an in-flight message. Vector/sparse shares hold a
-//               shared_ptr to one immutable snapshot of the sender's row,
-//               so a firing's k shares alias a single allocation that is
-//               freed when the last receiver merges it.
-//   Snapshot  — what the convergence test compares across firings.
+//   Share     — an in-flight message: the sender's state as it stood
+//               before the split, never modified, plus the scale every
+//               receiver applies to it. Vector/sparse shares hold a
+//               shared_ptr to that one immutable row, so a firing's k
+//               shares and the sender's next convergence test alias a
+//               single allocation, freed when the last holder drops it.
 //   Split(v, k)            — split v into k+1 equal shares; v becomes the
 //                            kept share, the returned Share is sent.
-//   Absorb(v, s)           — merge an arriving share into v.
+//   Absorb(v, s)           — merge an arriving share (s's state times
+//                            s.scale) into v.
+//   Whole(v)               — the Share Split(v, 0) would send, leaving v
+//                            as it is: a copy of v at scale 1.
 //   HasWeight(v)           — any gossip weight present (evidence gate).
-//   TakeSnapshot(v, sentinel) — current estimate for the streak test.
-//   Distance(a, b)         — L1 distance between snapshots; columns with
-//                            zero weight evaluate at the ratio sentinel,
-//                            mirroring the synchronous eq. (7).
+//   Change(from, v, sentinel, threshold) — L1 distance between the
+//                            estimates of from's state and of v, for the
+//                            streak test; columns with zero weight
+//                            evaluate at the ratio sentinel, mirroring the
+//                            synchronous eq. (7). Ratios are computed on
+//                            the fly, and like FoldOutcome::change only
+//                            the side of `threshold` is guaranteed: the
+//                            walk stops once the sum exceeds it, and at
+//                            or below it the sum is exact.
 //
 // Synchronous interface: a per-run SyncFold, constructed from
 // (initial state, use_count, ratio sentinel), with
@@ -50,6 +59,7 @@
 #define DGT_GOSSIP_GOSSIP_STATE_H_
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -117,26 +127,37 @@ struct ScalarGossipPolicy {
     double g = 0.0;
     double c = 0.0;
   };
-  using Share = Value;
-  using Snapshot = double;
+  // The receiver multiplies: sent * scale is the product the kept share
+  // holds, so every channel gets the same bits on both sides.
+  struct Share {
+    Value sent;
+    double scale = 0.0;
+  };
 
   static Status Validate(const Value& v, uint32_t n, bool use_count);
   static Share Split(Value& v, uint32_t k) {
     const double inv = 1.0 / (static_cast<double>(k) + 1.0);
-    Share s{v.y * inv, v.g * inv, v.c * inv};
-    v = s;
+    Share s{v, inv};
+    v = {v.y * inv, v.g * inv, v.c * inv};
     return s;
   }
   static void Absorb(Value& v, const Share& s) {
-    v.y += s.y;
-    v.g += s.g;
-    v.c += s.c;
+    v.y += s.sent.y * s.scale;
+    v.g += s.sent.g * s.scale;
+    v.c += s.sent.c * s.scale;
   }
+  static Share Whole(const Value& v) { return Share{v, 1.0}; }
   static bool HasWeight(const Value& v) { return v.g != 0.0; }
-  static Snapshot TakeSnapshot(const Value& v, double sentinel) {
+  // The node's estimate y/g, or the sentinel without gossip weight.
+  static double Estimate(const Value& v, double sentinel) {
     return v.g != 0.0 ? v.y / v.g : sentinel;
   }
-  static double Distance(const Snapshot& a, const Snapshot& b);
+  // |Δ y/g| only: unlike the synchronous fold, the event-driven scalar
+  // test leaves the count channel out. The threshold is ignored.
+  static double Change(const Share& from, const Value& v, double sentinel,
+                       double /*threshold*/) {
+    return std::fabs(Estimate(from.sent, sentinel) - Estimate(v, sentinel));
+  }
   static double ConvergenceThreshold(uint32_t /*n*/, double xi) { return xi; }
 
   // Shares are y/(k+1) per entry; a kept-self entry carrying several
@@ -166,17 +187,15 @@ struct DenseVectorGossipPolicy {
     std::shared_ptr<const DenseGossipData> data;
     double scale = 0.0;
   };
-  struct Snapshot {
-    std::vector<double> r;   // per-column ratio (sentinel where g == 0)
-    std::vector<double> rc;  // count ratio; empty when unused
-  };
 
   static Status Validate(const Value& v, uint32_t n, bool use_count);
   static Share Split(Value& v, uint32_t k);
   static void Absorb(Value& v, const Share& s);
+  static Share Whole(const Value& v);
   static bool HasWeight(const Value& v);
-  static Snapshot TakeSnapshot(const Value& v, double sentinel);
-  static double Distance(const Snapshot& a, const Snapshot& b);
+  // Every ratio term in column order, then every count term.
+  static double Change(const Share& from, const Value& v, double sentinel,
+                       double threshold);
   static double ConvergenceThreshold(uint32_t n, double xi) {
     return static_cast<double>(n) * xi;
   }
@@ -215,15 +234,6 @@ struct SparseVectorGossipPolicy {
     std::shared_ptr<const SparseVectorRow> row;
     double scale = 0.0;
   };
-  // Sorted sparse estimate: ratio per present column; absent columns are
-  // implicitly at the sentinel (recorded so Distance can evaluate
-  // one-sided columns).
-  struct Snapshot {
-    std::vector<uint32_t> cols;
-    std::vector<double> r;
-    std::vector<double> rc;  // parallel to cols when the count channel runs
-    double sentinel = 0.0;
-  };
 
   static Status Validate(const Value& v, uint32_t n, bool use_count);
   // Split and Absorb have two paths, chosen by the rows' structure. A row
@@ -237,12 +247,15 @@ struct SparseVectorGossipPolicy {
   // agree bit for bit; tests/gossip/sparse_absorb_paths_test.cc checks it.
   static Share Split(Value& v, uint32_t k);
   static void Absorb(Value& v, const Share& s);
+  static Share Whole(const Value& v);
   static bool HasWeight(const Value& v);
-  static Snapshot TakeSnapshot(const Value& v, double sentinel);
-  // Two-pointer union walk; a column present in only one snapshot
-  // contributes |ratio - sentinel| exactly like the synchronous sparse
-  // fold's L1 test.
-  static double Distance(const Snapshot& a, const Snapshot& b);
+  // Per column, the ratio term then the count term. Two full rows of the
+  // same length and count-channel shape are walked by index; anything
+  // else takes a two-pointer union walk, where a column present in one
+  // row only contributes |ratio - sentinel| exactly like the synchronous
+  // sparse fold's L1 test.
+  static double Change(const Share& from, const Value& v, double sentinel,
+                       double threshold);
   static double ConvergenceThreshold(uint32_t n, double xi) {
     return static_cast<double>(n) * xi;
   }

@@ -28,8 +28,7 @@ Result<GossipResult> ScalarPushSum::Run(const std::vector<double>& y0,
   auto ratios = [&](const std::vector<Value>& state) {
     std::vector<double> row(state.size());
     for (size_t i = 0; i < state.size(); ++i) {
-      row[i] = ScalarGossipPolicy::TakeSnapshot(state[i],
-                                                options.ratio_sentinel);
+      row[i] = ScalarGossipPolicy::Estimate(state[i], options.ratio_sentinel);
     }
     return row;
   };

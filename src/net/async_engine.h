@@ -143,7 +143,10 @@ class AsyncEventEngine {
 
     struct Node {
       typename Policy::Value value;
-      typename Policy::Snapshot prev;
+      // What the node's last unconverged firing sent: its state at that
+      // firing's convergence test, which the next test compares against
+      // (at first, a copy of the initial value). Empty once converged.
+      typename Policy::Share sent;
       uint64_t rng_counter = 0;
       uint32_t streak = 0;
       uint32_t firings = 0;
@@ -157,7 +160,7 @@ class AsyncEventEngine {
     std::vector<uint32_t> k(n, 1);
     for (NodeId i = 0; i < n; ++i) {
       node[i].value = std::move(init[i]);
-      node[i].prev = Policy::TakeSnapshot(node[i].value, sentinel);
+      if (graph_->Degree(i) > 0) node[i].sent = Policy::Whole(node[i].value);
       if (options_.strategy == PushStrategy::kDifferential) {
         k[i] = graph_->DifferentialPushCount(i, options_.k_rounding);
       }
@@ -211,6 +214,7 @@ class AsyncEventEngine {
     auto announce_convergence = [&](NodeId i, double t, Rng& er,
                                     GroupOut& out) {
       node[i].converged = true;
+      node[i].sent = {};  // no further convergence tests
       for (NodeId v : graph_->Neighbors(i)) {
         ++out.control_messages;
         double latency = links.Latency(i, v, er);
@@ -257,19 +261,18 @@ class AsyncEventEngine {
       ++node[i].firings;
       Rng er = base.StreamAt(i, node[i].rng_counter++);
 
-      // Convergence evaluation at the node's own cadence. Once converged
-      // the node no longer compares estimates, so it takes no snapshot.
+      // Convergence evaluation at the node's own cadence, against the state
+      // the previous unconverged firing sent. Once converged the node no
+      // longer compares estimates.
       if (!node[i].converged) {
-        typename Policy::Snapshot cur =
-            Policy::TakeSnapshot(node[i].value, sentinel);
         const bool evidence =
             node[i].received >= 1 && Policy::HasWeight(node[i].value);
         if (evidence) {
           node[i].idle_firings = 0;
-          node[i].streak =
-              Policy::Distance(node[i].prev, cur) <= threshold
-                  ? node[i].streak + 1
-                  : 0;
+          node[i].streak = Policy::Change(node[i].sent, node[i].value,
+                                          sentinel, threshold) <= threshold
+                               ? node[i].streak + 1
+                               : 0;
           if (node[i].streak >= options_.convergence_rounds) {
             announce_convergence(i, t, er, out);
           }
@@ -284,7 +287,6 @@ class AsyncEventEngine {
             announce_convergence(i, t, er, out);
           }
         }
-        node[i].prev = std::move(cur);
       }
       node[i].received = 0;
 
@@ -296,6 +298,7 @@ class AsyncEventEngine {
       const uint32_t deg = static_cast<uint32_t>(nbrs.size());
       const uint32_t kk = std::min(k[i], deg);
       typename Policy::Share share = Policy::Split(node[i].value, kk);
+      if (!node[i].converged) node[i].sent = share;
 
       std::vector<NodeId> targets;
       DrawTargets(nbrs, kk, er, targets);
