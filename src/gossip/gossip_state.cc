@@ -364,26 +364,13 @@ SparseVectorGossipPolicy::Share SparseVectorGossipPolicy::Whole(
 
 double SparseVectorGossipPolicy::Change(const Share& from, const Value& v,
                                         double sentinel, double threshold) {
+  // Two-pointer union walk; a column absent on one side sits at the
+  // sentinel there, as does the count ratio of a row without the channel.
   // Every term is >= 0: once the sum exceeds the threshold the comparison
-  // is decided, so both walks stop there.
+  // is decided, so the walk stops there.
   const SparseVectorRow& a = *from.row;
   const bool use_count = !a.c.empty() || !v.c.empty();
   double l1 = 0.0;
-  if (a.nnz() == v.nnz() && a.c.size() == v.c.size() && IsFullRow(a) &&
-      IsFullRow(v)) {
-    // Both rows hold columns 0..m-1: column j is index j on both sides.
-    for (size_t j = 0; j < v.nnz() && !(l1 > threshold); ++j) {
-      l1 += std::fabs(ColumnRatio(v.y[j], v.g[j], sentinel) -
-                      ColumnRatio(a.y[j], a.g[j], sentinel));
-      if (use_count) {
-        l1 += std::fabs(ColumnRatio(v.c[j], v.g[j], sentinel) -
-                        ColumnRatio(a.c[j], a.g[j], sentinel));
-      }
-    }
-    return l1;
-  }
-  // Two-pointer union walk; a column absent on one side sits at the
-  // sentinel there, as does the count ratio of a row without the channel.
   size_t ia = 0, ib = 0;
   while ((ia < a.nnz() || ib < v.nnz()) && !(l1 > threshold)) {
     const uint32_t ca = ia < a.nnz() ? a.cols[ia] : kNoColumn;

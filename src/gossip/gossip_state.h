@@ -249,10 +249,9 @@ struct SparseVectorGossipPolicy {
   static void Absorb(Value& v, const Share& s);
   static Share Whole(const Value& v);
   static bool HasWeight(const Value& v);
-  // Per column, the ratio term then the count term. Two full rows of the
-  // same length and count-channel shape are walked by index; anything
-  // else takes a two-pointer union walk, where a column present in one
-  // row only contributes |ratio - sentinel| exactly like the synchronous
+  // Per column, the ratio term then the count term, over a two-pointer
+  // union walk of the two rows' columns: a column present in one row
+  // only contributes |ratio - sentinel| exactly like the synchronous
   // sparse fold's L1 test.
   static double Change(const Share& from, const Value& v, double sentinel,
                        double threshold);

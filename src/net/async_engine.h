@@ -146,6 +146,8 @@ class AsyncEventEngine {
       // What the node's last unconverged firing sent: its state at that
       // firing's convergence test, which the next test compares against
       // (at first, a copy of the initial value). Empty once converged.
+      // Holding it keeps the sent row alive until the next firing, past
+      // the delivery of its shares.
       typename Policy::Share sent;
       uint64_t rng_counter = 0;
       uint32_t streak = 0;
